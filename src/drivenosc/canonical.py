@@ -20,12 +20,17 @@ pointwise.  The same data feeds the quantum shift-plus-phase maps in
     phase_to_lab(x, t)     = (x - x_nh) m xdot_nh + G(t)
     phase_to_moving(xi, t) = -(xi + x_nh) m xdot_nh + G(t).
 
-A frame caches machine-accurate samples on a uniform grid and interpolates
-between them with cubic Hermite splines whose nodal derivatives are exact
-(velocity from momentum, acceleration from the equation of motion, Gdot
-from the integrand above), so finite differences of frame values recover
-the defining identities to well below 1e-6.  Direct quadrature evaluation
-remains available for verification via ``exact_values``.
+A frame stores (x_nh, xdot_nh, G) at ``grid_points`` uniform nodes.  There
+is no spline: a read at any t resumes the response walk from the node at
+or before t (see ``_walk``), so every read is exact to rounding and
+``grid_points`` (the scenario's ``frame_points``) sets only the cost split
+between building and reading.  The walk gets G from the identity
+
+    G(t) = x_nh p_nh / 2 + (1/2) integral_0^t x_nh k ds,   p_nh = m xdot_nh,
+
+which follows from the equation of motion (derived in NOTES.md).
+Independent quadrature evaluation remains available for verification via
+``exact_values``.
 
 Frames are immutable once built and safe to evaluate concurrently.
 """
@@ -36,24 +41,94 @@ import csv
 import math
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
-from .classical import (
-    OscillatorParams,
-    PhaseState,
-    _sin_over_omega,
-    nonhomogeneous,
-    propagator,
-)
-from .errors import DomainError
+from .classical import OscillatorParams, PhaseState, _sin_over_omega, nonhomogeneous
+from .errors import DomainError, NumericError
 from .forcing import ForcingSpec
-from .quadrature import fixed_gauss_kronrod
+from .quadrature import _KRONROD_NODES, _KRONROD_WEIGHTS, fixed_gauss_kronrod
+
+# Most panels one walk may take (about 2 s), and panels per vectorized
+# block (a few MB of temporaries).
+_PANEL_BUDGET = 200_000
+_CHUNK = 2048
+
+
+def _spectral_matrix(nodes: np.ndarray) -> np.ndarray:
+    """S[i, j] = integral_{-1}^{x_i} l_j(s) ds for the Lagrange basis l_j on
+    the nodes x_i, so S @ f(x) is the running integral of the interpolant
+    of f.  Built in the Legendre basis, where both steps are well posed."""
+    leg = np.polynomial.legendre
+    eye = np.eye(len(nodes))
+    running = np.stack([leg.legval(nodes, leg.legint(c, lbnd=-1.0)) for c in eye], axis=1)
+    return np.linalg.solve(leg.legvander(nodes, len(nodes) - 1).T, running.T).T
+
+
+_SPECTRAL = _spectral_matrix(_KRONROD_NODES)
 
 
 def _lagrangian(params: OscillatorParams, spec: ForcingSpec, x: float,
                 xdot: float, t: float) -> float:
     m, w = params.m, params.omega
     return 0.5 * m * xdot * xdot - 0.5 * m * w * w * x * x + x * spec.evaluate(t)
+
+
+def _panel_len(params: OscillatorParams, spec: ForcingSpec) -> float:
+    rate = max(params.omega, spec.oscillation_rate())
+    return 0.25 / rate if rate > 0.0 else math.inf
+
+
+def _walk(params: OscillatorParams, spec: ForcingSpec, stops: np.ndarray,
+          x0: float, p0: float, j0: float):
+    """(x, p, J) of the response at ascending ``stops``, from (x0, p0, j0)
+    at stops[0], where p = m xdot and J(t) = integral_0^t x k ds.
+
+    Panel edges are the stops, the kinks of k and splits to ``_panel_len``.
+    On a panel [a, b] the state is z(u) = U(u - a) (z(a) + c(u)) with
+    c(u) = integral_a^u U(a - s) (0, k(s)) ds: the 15-point Kronrod rule
+    gives c(b) and the spectral matrix gives c at the interior nodes, where
+    x feeds the rule for J.  k is smooth on each panel, so all of it is
+    exact to rounding.
+    """
+    m, w = params.m, params.omega
+    pts = np.union1d(stops, spec.breakpoints(float(stops[0]), float(stops[-1])))
+    lengths = np.diff(pts)
+    with np.errstate(over="ignore"):  # an overflow is an infinite count
+        counts = np.maximum(np.ceil(lengths / _panel_len(params, spec)), 1.0)
+    total = float(np.sum(counts))
+    if not total <= _PANEL_BUDGET:
+        raise NumericError(f"frame walk over [{pts[0]}, {pts[-1]}] needs {total:.3g} "
+                           f"panels, over the budget of {_PANEL_BUDGET}")
+    counts = counts.astype(int)
+    seg = np.repeat(np.arange(len(lengths)), counts)
+    step = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
+    edges = np.append(pts[seg] + lengths[seg] * step / counts[seg], pts[-1])
+
+    xs, ps, js = (np.empty(len(edges)) for _ in range(3))
+    xs[0], ps[0], js[0] = x0, p0, j0
+    for lo in range(0, len(edges) - 1, _CHUNK):
+        hi = min(lo + _CHUNK, len(edges) - 1)
+        a, b = edges[lo:hi], edges[lo + 1:hi + 1]
+        half = 0.5 * (b - a)
+        u = (a + half)[:, None] + half[:, None] * _KRONROD_NODES
+        k = np.array([spec.evaluate(s) for s in u.ravel()]).reshape(u.shape)
+        tau = a[:, None] - u
+        cos_tau, sin_tau = np.cos(w * tau), _sin_over_omega(w, tau)
+        fx, fp = sin_tau / m * k, cos_tau * k  # U(a - u) (0, k(u))
+        end_x, end_p = half * (fx @ _KRONROD_WEIGHTS), half * (fp @ _KRONROD_WEIGHTS)
+
+        cos_h, sin_h = np.cos(w * (b - a)), _sin_over_omega(w, b - a)
+        x, p = xs[lo], ps[lo]
+        for i in range(len(a)):
+            x, p = x + end_x[i], p + end_p[i]
+            x, p = cos_h[i] * x + sin_h[i] / m * p, cos_h[i] * p - m * w * w * sin_h[i] * x
+            xs[lo + i + 1], ps[lo + i + 1] = x, p
+
+        # x at the interior nodes: U(u - a) = U(-tau) applied to z(a) + c(u)
+        x_u = (cos_tau * (xs[lo:hi, None] + half[:, None] * (fx @ _SPECTRAL.T))
+               - sin_tau / m * (ps[lo:hi, None] + half[:, None] * (fp @ _SPECTRAL.T)))
+        js[lo + 1:hi + 1] = js[lo] + np.cumsum(half * ((x_u * k) @ _KRONROD_WEIGHTS))
+    at = np.searchsorted(edges, stops)
+    return xs[at], ps[at], js[at]
 
 
 class CanonicalFrame:
@@ -65,14 +140,7 @@ class CanonicalFrame:
         self.grid = grid
         self.t_max = float(grid[-1])
         self.tol = tol
-        m, w = params.m, params.omega
-        k_nodes = np.array([spec.evaluate(t) for t in grid])
-        xddot_nodes = (k_nodes - m * w * w * x_nodes) / m
-        gdot_nodes = (0.5 * m * xdot_nodes**2 - 0.5 * m * w * w * x_nodes**2
-                      + x_nodes * k_nodes)
-        self._x = CubicHermiteSpline(grid, x_nodes, xdot_nodes)
-        self._xdot = CubicHermiteSpline(grid, xdot_nodes, xddot_nodes)
-        self._g = CubicHermiteSpline(grid, g_nodes, gdot_nodes)
+        self._nodes = (x_nodes, xdot_nodes, g_nodes)
 
     def _clamp(self, t: float) -> float:
         slack = 1e-12 * max(1.0, self.t_max)
@@ -80,26 +148,37 @@ class CanonicalFrame:
             raise DomainError(f"t={t!r} outside frame range [0, {self.t_max}]")
         return min(max(t, 0.0), self.t_max)
 
+    def _read(self, t: float) -> tuple[float, float, float]:
+        """(x_nh, xdot_nh, G) at t, walked on from the node at or before t."""
+        t = self._clamp(t)
+        j = int(np.searchsorted(self.grid, t, side="right")) - 1
+        x, xdot, g = (float(a[j]) for a in self._nodes)
+        if t == self.grid[j]:
+            return x, xdot, g
+        m = self.params.m
+        xs, ps, js = _walk(self.params, self.spec, np.array([self.grid[j], t]),
+                           x, m * xdot, 2.0 * g - m * x * xdot)
+        return float(xs[1]), float(ps[1] / m), float(0.5 * (xs[1] * ps[1] + js[1]))
+
     # -- frame data ---------------------------------------------------------
 
     def x_nh(self, t: float) -> float:
         """Position of the moving center."""
-        return float(self._x(self._clamp(t)))
+        return self._read(t)[0]
 
     def xdot_nh(self, t: float) -> float:
         """Velocity of the moving center."""
-        return float(self._xdot(self._clamp(t)))
+        return self._read(t)[1]
 
     def gauge(self, t: float) -> float:
         """Accumulated action phase G(t)."""
-        return float(self._g(self._clamp(t)))
+        return self._read(t)[2]
 
     def values(self, t: float) -> tuple[float, float, float]:
-        t = self._clamp(t)
-        return float(self._x(t)), float(self._xdot(t)), float(self._g(t))
+        return self._read(t)
 
     def exact_values(self, t: float) -> tuple[float, float, float]:
-        """(x_nh, xdot_nh, G) by direct quadrature, bypassing the cache."""
+        """(x_nh, xdot_nh, G) by direct quadrature, independent of the walk."""
         t = self._clamp(t)
         tol = min(self.tol, 1e-12)
         z = nonhomogeneous(self.params, self.spec, t, tol=tol)
@@ -152,7 +231,7 @@ class CanonicalFrame:
     # -- export ---------------------------------------------------------------
 
     def write_csv(self, path) -> None:
-        """Dump the cached grid as rows t,x_nh,xdot_nh,G."""
+        """Dump the node values as rows t,x_nh,xdot_nh,G."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "x_nh", "xdot_nh", "G"])
@@ -161,65 +240,18 @@ class CanonicalFrame:
                 writer.writerow([f"{t:.17g}", f"{x:.17g}", f"{v:.17g}", f"{g:.17g}"])
 
 
-def _panel_len(params: OscillatorParams, spec: ForcingSpec) -> float | None:
-    rate = max(params.omega, spec.oscillation_rate())
-    return 0.25 / rate if rate > 0.0 else None
-
-
 def build_frame(params: OscillatorParams, spec: ForcingSpec, t_max: float,
                 grid_points: int = 1025, tol: float = 1e-10) -> CanonicalFrame:
-    """Construct the frame by stepping the response orbit node to node.
+    """Construct the frame by one response walk across the whole grid.
 
-    Each grid step advances (x_nh, p_nh) with the exact propagator plus a
-    panelled 15-point rule for the forced part, and accumulates G with the
-    same rule; between known breakpoints all integrands are analytic, so
-    the nodes are accurate to rounding at the requested tol scale.
+    ``grid_points`` sets only where the walk keeps its state (and so how
+    far a read has to walk); ``tol`` is kept for ``exact_values``.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
     if grid_points < 2:
         raise DomainError(f"grid_points must be >= 2, got {grid_points}")
 
-    m, w = params.m, params.omega
     grid = np.linspace(0.0, t_max, grid_points)
-    panel = _panel_len(params, spec)
-
-    x_nodes = np.zeros(grid_points)
-    xdot_nodes = np.zeros(grid_points)
-    g_nodes = np.zeros(grid_points)
-
-    def kick(t_lo, t_hi):
-        # integral of U(t_hi - s) (0, k(s)) over [t_lo, t_hi]
-        def f(s):
-            k = spec.evaluate(s)
-            dt = t_hi - s
-            return np.array([_sin_over_omega(w, dt) / m * k,
-                             math.cos(w * dt) * k])
-        return fixed_gauss_kronrod(f, t_lo, t_hi,
-                                   breakpoints=spec.breakpoints(t_lo, t_hi),
-                                   panel_len=panel)
-
-    z = np.zeros(2)
-    g = 0.0
-    for j in range(grid_points - 1):
-        t_lo, t_hi = float(grid[j]), float(grid[j + 1])
-        z_lo = z.copy()
-
-        def z_at(s):
-            if s == t_lo:
-                return z_lo
-            return propagator(params, s - t_lo) @ z_lo + kick(t_lo, s)
-
-        def lagr(s):
-            xs, ps = z_at(s)
-            return np.array([_lagrangian(params, spec, xs, ps / m, s)])
-
-        g += float(fixed_gauss_kronrod(lagr, t_lo, t_hi,
-                                       breakpoints=spec.breakpoints(t_lo, t_hi),
-                                       panel_len=panel)[0])
-        z = z_at(t_hi)
-        x_nodes[j + 1] = z[0]
-        xdot_nodes[j + 1] = z[1] / m
-        g_nodes[j + 1] = g
-
-    return CanonicalFrame(params, spec, grid, x_nodes, xdot_nodes, g_nodes, tol)
+    x, p, j = _walk(params, spec, grid, 0.0, 0.0, 0.0)
+    return CanonicalFrame(params, spec, grid, x, p / params.m, 0.5 * (x * p + j), tol)

@@ -1,9 +1,9 @@
 """Time-dependent driving force k(t).
 
 A force profile is one of five variants: zero, constant, sinusoid, a
-rectangular pulse, or a tabulated series with linear interpolation.  Every
-variant is locally integrable, so the admissibility diagnostic
-``abs_integral`` (the integral of |k| from 0 to t) is finite for finite t.
+rectangular pulse, or a tabulated series with linear interpolation.  Each
+is smooth except at the finitely many kinks listed by ``breakpoints``
+(pulse edges, table knots), where the integration routines split.
 
 All specs are frozen dataclasses: immutable, hashable, safe to share
 between threads, and serializable to a small JSON object.
@@ -16,7 +16,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .quadrature import adaptive_simpson
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class ForcingSpec:
         raise NotImplementedError
 
     def breakpoints(self, t0: float, t1: float) -> tuple[float, ...]:
-        """Times in (t0, t1) where k or |k| is not smooth.
+        """Times in (t0, t1) where k has a kink or a jump.
 
         Quadrature routines split integration intervals here instead of
         discovering the kinks adaptively.
@@ -47,17 +46,6 @@ class ForcingSpec:
         """
         return 0.0
 
-    def abs_integral(self, t: float, tol: float = 1e-10) -> float:
-        """Integral of |k(s)| over [0, t], by adaptive Simpson bisection."""
-        if not math.isfinite(t) or t < 0.0:
-            raise DomainError(f"abs_integral needs finite t >= 0, got {t!r}")
-        if t == 0.0:
-            return 0.0
-        return adaptive_simpson(
-            lambda s: abs(self._value(s)), 0.0, t, tol=tol,
-            breakpoints=self.breakpoints(0.0, t),
-        )
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -65,11 +53,6 @@ class ForcingSpec:
 @dataclass(frozen=True)
 class ZeroForcing(ForcingSpec):
     def _value(self, t):
-        return 0.0
-
-    def abs_integral(self, t, tol=1e-10):
-        if not math.isfinite(t) or t < 0.0:
-            raise DomainError(f"abs_integral needs finite t >= 0, got {t!r}")
         return 0.0
 
     def to_dict(self):
@@ -82,11 +65,6 @@ class ConstantForcing(ForcingSpec):
 
     def _value(self, t):
         return self.K
-
-    def abs_integral(self, t, tol=1e-10):
-        if not math.isfinite(t) or t < 0.0:
-            raise DomainError(f"abs_integral needs finite t >= 0, got {t!r}")
-        return abs(self.K) * t
 
     def to_dict(self):
         return {"type": "constant", "K": self.K}
@@ -102,20 +80,6 @@ class SinusoidForcing(ForcingSpec):
 
     def _value(self, t):
         return self.A * math.cos(self.Omega * t + self.phi)
-
-    def breakpoints(self, t0, t1):
-        # Zero crossings of cos, where |k| has kinks.
-        if self.Omega == 0.0 or self.A == 0.0:
-            return ()
-        lo = (self.Omega * t0 + self.phi - 0.5 * math.pi) / math.pi
-        hi = (self.Omega * t1 + self.phi - 0.5 * math.pi) / math.pi
-        first, last = math.ceil(min(lo, hi)), math.floor(max(lo, hi))
-        if last - first > 100_000:
-            raise DomainError("sinusoid breakpoint count over 100000; range too long")
-        return tuple(
-            (0.5 * math.pi + n * math.pi - self.phi) / self.Omega
-            for n in range(first, last + 1)
-        )
 
     def oscillation_rate(self):
         return abs(self.Omega)

@@ -1,17 +1,17 @@
-"""Adaptive quadrature kernels used across the library.
+"""Gauss-Kronrod quadrature kernels used across the library.
 
-Two routines, both deterministic:
+Two routines, both deterministic, for vector-valued integrands:
 
-* ``adaptive_simpson``  -- scalar integrands; interval bisection driven by
-  the classic Richardson error estimate.  Robust on integrands with kinks
-  (e.g. |force|), which is what it is used for.
-* ``adaptive_gauss_kronrod`` -- vector-valued integrands; a global
-  worst-interval-first refinement of the 7/15 Gauss-Kronrod pair.  Used for
-  the inhomogeneous-response integrals, where the integrand is a smooth
-  2-vector away from known breakpoints.
+* ``adaptive_gauss_kronrod`` -- a global worst-interval-first refinement of
+  the 7/15 Gauss-Kronrod pair.  Used for the inhomogeneous-response
+  integrals, where the integrand is a smooth 2-vector away from known
+  breakpoints.
+* ``fixed_gauss_kronrod`` -- non-adaptive 15-point panels, for integrands
+  that are analytic on panels of a known length.
 
-Known non-smooth points (pulse edges, table knots, |.| zero crossings) are
-passed in as ``breakpoints`` so neither routine has to discover them.
+Known non-smooth points (pulse edges, table knots) are passed in as
+``breakpoints`` so neither routine has to discover them.  The 15-point
+nodes and weights are also the panel rule of the canonical-frame walk.
 """
 
 from __future__ import annotations
@@ -146,66 +146,3 @@ def fixed_gauss_kronrod(
             val, _ = _gk15(f, p0, p1)
             total = val if total is None else total + val
     return sign * total
-
-
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    breakpoints: Sequence[float] = (),
-    max_depth: int = 48,
-) -> float:
-    """Integrate a scalar f over [a, b] by adaptive Simpson bisection."""
-    if b == a:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-
-    segs = _segments(a, b, breakpoints)
-    # Absolute tolerance anchored to the coarse whole-interval estimate.
-    coarse = sum(_simpson_value(f, lo, hi)[0] for lo, hi in segs)
-    eps = tol * max(1.0, abs(coarse))
-
-    total = 0.0
-    for lo, hi in segs:
-        eps_seg = eps * (hi - lo) / (b - a)
-        total += _simpson_recurse(f, lo, hi, eps_seg, max_depth)
-    return sign * total
-
-
-def _simpson_value(f, a, b):
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb), fa, fm, fb
-
-
-def _simpson_recurse(f, a, b, eps, depth):
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fm, fb, whole, eps, depth)
-
-
-def _simpson_step(f, a, b, fa, fm, fb, whole, eps, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * eps or (b - a) < 1e-14 * max(1.0, abs(a) + abs(b)):
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise NumericError(
-            f"adaptive Simpson hit maximum depth on [{a}, {b}]",
-            partial=left + right + delta / 15.0,
-        )
-    half = 0.5 * eps
-    return (
-        _simpson_step(f, a, m, fa, flm, fm, left, half, depth - 1)
-        + _simpson_step(f, m, b, fm, frm, fb, right, half, depth - 1)
-    )

@@ -59,6 +59,31 @@ class TestFrameData:
             exact = fr.exact_values(float(t))
             np.testing.assert_allclose(cached, exact, atol=1e-10)
 
+    def test_reads_exact_next_to_pulse_edges(self):
+        # reads between nodes walk through the jump of k instead of
+        # interpolating across it
+        params = OscillatorParams(1.1, 0.9)
+        spec = PulseForcing(K=1.0, t_on=2.0, t_off=17.3)
+        fr = build_frame(params, spec, 10 * math.pi, grid_points=1025)
+        for edge in (spec.t_on, spec.t_off):
+            for t in (edge - 1e-3, edge + 1e-3):
+                z = nonhomogeneous(params, spec, t, tol=1e-13)
+                x, xdot, _ = fr.values(t)
+                assert abs(x - z.x) < 1e-10
+                assert abs(xdot - z.p / params.m) < 1e-10
+
+    def test_reads_exact_between_coarse_nodes(self):
+        # node spacing h = 200/1024 with h * max(omega, Omega) > 1
+        params = OscillatorParams(1.0, 2 * math.pi)
+        spec = SinusoidForcing(1.0, 6.0, 0.3)
+        fr = build_frame(params, spec, 200.0, grid_points=1025)
+        assert fr.grid[1] * max(params.omega, spec.Omega) > 1.0
+        for t in (0.37, 3.05, 11.9):
+            z = nonhomogeneous(params, spec, t, tol=1e-13)
+            x, xdot, _ = fr.values(t)
+            assert abs(x - z.x) < 1e-10 * max(1.0, abs(z.x))
+            assert abs(xdot - z.p / params.m) < 1e-10 * max(1.0, abs(z.p))
+
     def test_out_of_range_rejected(self, const_frame_pi):
         with pytest.raises(DomainError):
             const_frame_pi.x_nh(-0.5)

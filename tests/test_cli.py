@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import jsonschema
 import numpy as np
@@ -17,6 +18,7 @@ from drivenosc import (
 from drivenosc.canonical import build_frame
 from drivenosc.cli import main
 from drivenosc.scenario import REPORT_SCHEMA, SCENARIO_SCHEMA, Scenario
+from drivenosc.verify import _Context
 
 
 def write_scenario(tmp_path, name="scn.json", **overrides):
@@ -146,6 +148,15 @@ class TestTransitionsCommand:
             assert row["tail_bound"] <= 1e-9
             assert abs(sum(row["probabilities"]) + row["tail_bound"] - 1.0) < 1e-8
 
+    def test_unresolvable_drive_is_a_numeric_failure(self, tmp_path):
+        # ~4e9 frame panels: refused by the panel budget before allocating
+        scn = write_scenario(tmp_path, forcing={"type": "sinusoid", "A": 1.0,
+                                                "Omega": 1e9, "phi": 0.0},
+                             time={"t_max": 1.0, "samples": 5})
+        start = time.perf_counter()
+        assert main(["transitions", "--scenario", str(scn), "--out", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 10.0
+
 
 class TestSurvivalCommand:
     def test_matches_library_survival(self, tmp_path):
@@ -211,6 +222,18 @@ class TestVerifyCommand:
         bad = next(c for c in report["checks"]
                    if c["check"] == "evolution_covariance_moving")
         assert bad["max_error"] > bad["tolerance"]
+
+    def test_safe_times_returns_on_long_sinusoid(self):
+        # a sinusoid has no kinks, so no guard band may cover [0, t_max]
+        scn = Scenario.from_dict({
+            "params": {"m": 1.0, "omega": 1.0},
+            "forcing": {"type": "sinusoid", "A": 0.1, "Omega": 5.0, "phi": 0.0},
+            "time": {"t_max": 100.0, "samples": 5},
+            "frame_points": 1025,
+        })
+        times = _Context(scn).safe_times(60, seed=201)
+        assert len(times) == 60
+        assert np.all((times >= 1.0) & (times <= 99.0))
 
     def test_invalid_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,8 +1,6 @@
 import math
 
-import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from drivenosc import (
     ConstantForcing,
@@ -78,40 +76,6 @@ class TestValidation:
     def test_tabulated_needs_increasing_times(self):
         with pytest.raises(DomainError):
             TabulatedForcing(samples=((0.0, 1.0), (0.0, 2.0)))
-
-
-class TestAbsIntegral:
-    def test_zero(self):
-        assert ZeroForcing().abs_integral(10.0) == 0.0
-
-    def test_constant(self):
-        assert ConstantForcing(K=2.0).abs_integral(3.0) == pytest.approx(6.0)
-
-    def test_sinusoid_closed_form(self):
-        # integral of |cos(2 pi s)| over [0, 1] is 2/pi
-        spec = SinusoidForcing(A=1.0, Omega=2 * math.pi, phi=0.0)
-        assert spec.abs_integral(1.0, tol=1e-12) == pytest.approx(2.0 / math.pi, abs=1e-11)
-
-    def test_pulse(self):
-        spec = PulseForcing(K=-2.0, t_on=0.5, t_off=2.0)
-        assert spec.abs_integral(1.0) == pytest.approx(1.0, abs=1e-10)
-        assert spec.abs_integral(5.0) == pytest.approx(3.0, abs=1e-10)
-
-    def test_tabulated_vs_quadpack(self):
-        spec = TabulatedForcing(samples=((0.0, 1.0), (1.0, -1.0), (2.0, 0.5)))
-        ref, _ = quad(lambda s: abs(spec.evaluate(s)), 0.0, 2.0,
-                      points=[0.5, 1.0, 1.75], epsabs=1e-13)
-        assert spec.abs_integral(2.0, tol=1e-12) == pytest.approx(ref, abs=1e-10)
-
-    @pytest.mark.parametrize("spec", ALL_SPECS)
-    def test_monotone_in_time(self, spec):
-        times = np.linspace(0.0, 4.0, 17)
-        vals = [spec.abs_integral(float(t), tol=1e-11) for t in times]
-        assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            ConstantForcing(K=1.0).abs_integral(-1.0)
 
 
 class TestSerialization:

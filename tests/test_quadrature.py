@@ -7,39 +7,8 @@ from scipy.integrate import quad
 from drivenosc.errors import NumericError
 from drivenosc.quadrature import (
     adaptive_gauss_kronrod,
-    adaptive_simpson,
     fixed_gauss_kronrod,
 )
-
-
-def test_simpson_polynomial_exact():
-    assert adaptive_simpson(lambda s: s**3, 0.0, 1.0, tol=1e-12) == pytest.approx(0.25, abs=1e-13)
-
-
-def test_simpson_handles_kinks_with_breakpoints():
-    # |cos(2 pi s)| over one unit: mean of |cos| is 2/pi
-    breaks = [0.25, 0.75]
-    val = adaptive_simpson(lambda s: abs(math.cos(2 * math.pi * s)), 0.0, 1.0,
-                           tol=1e-12, breakpoints=breaks)
-    assert val == pytest.approx(2.0 / math.pi, abs=1e-11)
-
-
-def test_simpson_agrees_with_quadpack():
-    f = lambda s: math.exp(-s) * math.sin(3 * s)
-    ref, _ = quad(f, 0.0, 2.5, epsabs=1e-13)
-    assert adaptive_simpson(f, 0.0, 2.5, tol=1e-12) == pytest.approx(ref, abs=1e-11)
-
-
-def test_simpson_reversed_interval_flips_sign():
-    forward = adaptive_simpson(math.sin, 0.0, 2.0, tol=1e-12)
-    assert adaptive_simpson(math.sin, 2.0, 0.0, tol=1e-12) == pytest.approx(-forward)
-
-
-def test_simpson_depth_exhaustion_carries_partial():
-    f = lambda s: abs(s - 1.0 / 3.0) ** 0.5
-    with pytest.raises(NumericError) as exc:
-        adaptive_simpson(f, 0.0, 1.0, tol=1e-15, max_depth=3)
-    assert exc.value.partial is not None
 
 
 def test_gauss_kronrod_vector_integrand():
