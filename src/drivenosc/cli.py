@@ -83,11 +83,11 @@ def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
         d = transitions.DisplacementParams.from_frame(frame, t)
         row = transitions.probability_row(scn.n_initial, frame, t, scn.tail_tol)
         probs = list(row.probabilities)
-        for m in range(len(probs), scn.m_max + 1):
-            probs.append(abs(transitions.overlap_amplitude(scn.n_initial, m, d)) ** 2)
+        if scn.m_max >= len(probs):
+            tail = transitions.probability_column(scn.n_initial, d, scn.m_max + 1)
+            probs.extend(tail[len(probs):].tolist())
         lam = d.poisson_mean()
-        for m, p in enumerate(probs):
-            csv_rows.append((t, scn.n_initial, m, p, lam))
+        csv_rows.extend((t, scn.n_initial, m, p, lam) for m, p in enumerate(probs))
         json_rows.append({
             "n": scn.n_initial,
             "t": t,

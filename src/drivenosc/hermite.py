@@ -17,6 +17,7 @@ from .classical import OscillatorParams
 from .errors import DomainError
 
 _MAX_RULE_ORDER = 200
+_UNIT = OscillatorParams(1.0, 1.0)  # eigenstate(_UNIT, n, x) = psi_n(x)
 
 
 def _check_n(n) -> int:
@@ -130,21 +131,16 @@ def gauss_hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
         number of nodes, 1 <= order <= 200 (beyond that the symmetric
         tridiagonal eigenproblem is no longer reliably accurate)
 
-    Computed Golub-Welsch style: nodes are eigenvalues of the Jacobi
-    matrix with off-diagonal sqrt(k/2), weights are sqrt(pi) times the
-    squared first eigenvector components.
+    Golub-Welsch nodes; weights e^{-x^2} / (order psi_{order-1}(x)^2), which
+    unlike squared eigenvector components keep full relative accuracy.
     """
     if order != int(order) or order < 1:
         raise DomainError(f"rule order must be a positive integer, got {order!r}")
     if order > _MAX_RULE_ORDER:
         raise DomainError(f"rule order {order} exceeds stable limit {_MAX_RULE_ORDER}")
     order = int(order)
-    if order == 1:
-        return np.zeros(1), np.array([math.sqrt(math.pi)])
-    offdiag = np.sqrt(np.arange(1, order) / 2.0)
-    nodes, vecs = eigh_tridiagonal(np.zeros(order), offdiag)
-    weights = math.sqrt(math.pi) * vecs[0] ** 2
+    nodes = eigh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1, order) / 2.0),
+                             eigvals_only=True)
+    weights = np.exp(-nodes * nodes) / (order * eigenstate(_UNIT, order - 1, nodes) ** 2)
     # polish the exact symmetry of the rule
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    return nodes, weights
+    return 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])

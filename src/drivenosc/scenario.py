@@ -9,6 +9,7 @@ DomainError (CLI exit code 2) rather than deep inside a computation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -23,6 +24,14 @@ from .schrodinger import GridSpec
 def _load_schema(name: str) -> dict:
     text = resources.files("drivenosc.schemas").joinpath(name).read_text()
     return json.loads(text)
+
+
+def _finite(text: str) -> float:
+    """JSON number hook: Python's json reads NaN, Infinity and 1e999; refuse them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise DomainError(f"scenario holds the non-finite number {text}")
+    return value
 
 
 SCENARIO_SCHEMA = _load_schema("scenario.schema.json")
@@ -96,7 +105,7 @@ class Scenario:
     def from_file(cls, path) -> "Scenario":
         try:
             with open(path) as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except OSError as exc:
             raise DomainError(f"cannot read scenario file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -11,25 +11,18 @@ overlap is the scaled Hermite-Gaussian integral
 
     A(n, m) = C(m, n) * integral H_m(x+a) H_n(x) e^{-ixb}
               e^{-(x+a)^2/2} e^{-x^2/2} dx,
-    C(m, n) = (2^{m+n} m! n! pi)^{-1/2}.
+    C(m, n) = (2^{m+n} m! n! pi)^{-1/2},
 
-Pairing both Hermite factors with their generating function e^{2xu - u^2}
-turns the integral into a single Gaussian moment, and extracting the
-u^n v^m coefficient leaves a finite sum (alpha = a - ib):
+a displacement-operator matrix element.  With beta = (a - ib)/sqrt(2),
+lambda = |beta|^2, lo = min(n, m) and hi = max(n, m) it is evaluated as
 
-    A(n, m) = sqrt(n! m! / 2^{n+m}) e^{-(a^2+b^2)/4} e^{i a b / 2}
-              * sum_{k<=min(n,m)} 2^k alpha^{m-k} (-conj(alpha))^{n-k}
-                                  / (k! (m-k)! (n-k)!)
+    A(n, m) = e^{iab/2} e^{-lambda/2} sqrt(lo!/hi!) lambda^{(hi-lo)/2}
+              u^{hi-lo} L_lo^{(hi-lo)}(lambda),
+    u = beta/|beta| (m >= n),   u = -conj(beta)/|beta| (m < n),
 
-(the constant in the exponent is re-derived in NOTES.md; it is fixed by
-the companion quadrature oracle and by unitarity).  Consequences checked
-in the test suite: A(n, m) = delta_nm at zero displacement, |A(n,m)| =
-|A(m,n)|, and from the ground state P(0, m) is Poisson with mean
-lambda = (a^2 + b^2)/2.
-
-``overlap_by_quadrature`` evaluates the same integral directly with a
-Gauss-Hermite rule and no shared algebra, serving as the independent
-oracle for the closed form.
+for a whole column m = 0 .. M-1 at once.  NOTES.md derives it from the
+generating-function k-sum, which cancels catastrophically, so is not used;
+``overlap_by_quadrature`` is the independent oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -38,12 +31,14 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.special import gammaln
+
 from .canonical import CanonicalFrame
 from .errors import DomainError, NumericError
 from .hermite import _check_n, gauss_hermite_rule, hermite_poly
 
-_LOG_SPACE_THRESHOLD = 30
-_ROW_LIMIT = 500
+_ROW_SIZES = (32, 64, 128, 256, 501)  # columns tried by probability_row
 
 
 @dataclass(frozen=True)
@@ -84,61 +79,61 @@ class TransitionRow:
     tail_bound: float
 
     def __post_init__(self):
-        if any(p < -1e-12 or p > 1.0 + 1e-12 for p in self.probabilities):
-            raise DomainError("transition probabilities must lie in [0, 1]")
-        if sum(self.probabilities) > 1.0 + 1e-10:
-            raise DomainError("transition probabilities sum above 1")
+        if not _valid_row(self.probabilities):
+            raise DomainError("transition probabilities must lie in [0, 1] and sum to at most 1")
 
     def total(self) -> float:
         return sum(self.probabilities)
 
 
+def _valid_row(probs) -> bool:
+    """Each entry in [0, 1] and the sum at most 1, up to rounding; NaN fails."""
+    p = np.asarray(probs, dtype=float)
+    return bool(np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)) and p.sum() <= 1.0 + 1e-10)
+
+
+def _laguerre_column(n: int, lam: float, m_stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log |A(n, m)| (the Laguerre form above) for m = 0 .. m_stop-1."""
+    m = np.arange(m_stop)
+    if lam == 0.0:
+        return np.ones(m_stop), np.where(m == n, 0.0, -np.inf)
+    gap = np.abs(m - n)
+    # lag * e^scale = L_k^{(gap)}(lam), raised in degree k by the increments
+    # inc * e^scale = L_k^{(gap-1)}(lam) (accurate as lam -> 0; see NOTES.md).
+    # Entry m stops at k = min(m, n), so step k only moves the entries m > k.
+    lag, inc, scale = np.ones(m_stop), np.ones(m_stop), np.zeros(m_stop)
+    for k in range(min(n, m_stop - 1)):
+        moving, step = lag[k + 1:], inc[k + 1:]
+        step *= k + gap[k + 1:]
+        step -= lam * moving
+        step /= k + 1
+        moving += step
+        if np.abs(moving).max() > 1e150:  # rescale long before overflow
+            f = np.maximum(np.abs(moving), 1.0)
+            moving /= f
+            step /= f
+            scale[k + 1:] += np.log(f)
+    with np.errstate(divide="ignore"):  # an exact zero of L has log -inf
+        log_mag = scale + np.log(np.abs(lag)) + gap * (0.5 * math.log(lam)) - 0.5 * lam
+    # log(lo!/hi!) = -|log m! - log n!|, since log m! does not decrease in m
+    return np.sign(lag), log_mag - 0.5 * np.abs(gammaln(m + 1) - gammaln(n + 1))
+
+
 def overlap_amplitude(n: int, m: int, d: DisplacementParams) -> complex:
     """Closed-form overlap A(n, m) at displacement d, global phase dropped."""
     n, m = _check_n(n), _check_n(m)
-    alpha = complex(d.a, -d.b)
-    if alpha == 0.0:
-        return 1.0 + 0.0j if n == m else 0.0 + 0.0j
-    if n + m <= _LOG_SPACE_THRESHOLD:
-        pref = math.sqrt(math.factorial(n) * math.factorial(m) / 2.0 ** (n + m))
-        total = 0.0 + 0.0j
-        for k in range(min(n, m) + 1):
-            total += (
-                2.0**k
-                * alpha ** (m - k)
-                * (-alpha.conjugate()) ** (n - k)
-                / (math.factorial(k) * math.factorial(m - k) * math.factorial(n - k))
-            )
-        head = pref * total
-    else:
-        head = _amplitude_sum_logspace(n, m, alpha)
-    phase = cmath.exp(0.5j * d.a * d.b)
-    return head * math.exp(-0.25 * (d.a**2 + d.b**2)) * phase
+    sign, log_mag = _laguerre_column(n, d.poisson_mean(), m + 1)
+    theta = math.atan2(-d.b, d.a if m >= n else -d.a)  # arg u
+    return complex(sign[m]) * cmath.exp(log_mag[m] + 1j * (0.5 * d.a * d.b + abs(m - n) * theta))
 
 
-def _amplitude_sum_logspace(n: int, m: int, alpha: complex) -> complex:
-    """sqrt(n! m!/2^{n+m}) * k-sum with magnitudes carried as logs."""
-    r = abs(alpha)
-    log_r = math.log(r)
-    unit = alpha / r
-    log_pref = 0.5 * (math.lgamma(n + 1) + math.lgamma(m + 1)) - 0.5 * (n + m) * math.log(2.0)
-    logs = []
-    phases = []
-    for k in range(min(n, m) + 1):
-        logs.append(
-            log_pref
-            + k * math.log(2.0)
-            + (m + n - 2 * k) * log_r
-            - math.lgamma(k + 1)
-            - math.lgamma(m - k + 1)
-            - math.lgamma(n - k + 1)
-        )
-        phases.append(unit ** (m - k) * (-unit.conjugate()) ** (n - k))
-    peak = max(logs)
-    if peak == -math.inf:
-        return 0.0 + 0.0j
-    acc = sum(math.exp(lg - peak) * ph for lg, ph in zip(logs, phases))
-    return acc * math.exp(peak) if peak < 700.0 else cmath.exp(peak + cmath.log(acc))
+def probability_column(n: int, d: DisplacementParams, m_stop: int) -> np.ndarray:
+    """P(n -> m) for m = 0 .. m_stop-1; NumericError if any value is invalid."""
+    probs = np.exp(2.0 * _laguerre_column(_check_n(n), d.poisson_mean(), m_stop)[1])
+    if not _valid_row(probs):
+        raise NumericError(f"transition row from n={n} is not finite or not in [0, 1]",
+                           partial=tuple(probs.tolist()))
+    return probs
 
 
 def transition_probability(n: int, m: int, frame: CanonicalFrame, t: float) -> float:
@@ -192,22 +187,17 @@ def probability_row(n: int, frame: CanonicalFrame, t: float, tail_tol: float) ->
         raise DomainError(f"tail_tol must be positive, got {tail_tol!r}")
     n = _check_n(n)
     d = DisplacementParams.from_frame(frame, t)
-    probs: list[float] = []
-    cumulative = 0.0
-    for m in range(_ROW_LIMIT + 1):
-        p = abs(overlap_amplitude(n, m, d)) ** 2
-        probs.append(p)
-        cumulative += p
-        if cumulative > 1.0 - tail_tol:
+    for m_stop in _ROW_SIZES:
+        probs = probability_column(n, d, m_stop)
+        cumulative = np.cumsum(probs)  # non-decreasing, so searchable
+        stop = int(np.searchsorted(cumulative, 1.0 - tail_tol, side="right")) + 1
+        if stop <= m_stop:
             return TransitionRow(
-                n=n, t=t, probabilities=tuple(probs),
-                truncation_m=len(probs), tail_bound=max(0.0, 1.0 - cumulative),
+                n=n, t=t, probabilities=tuple(probs[:stop].tolist()),
+                truncation_m=stop, tail_bound=max(0.0, 1.0 - float(cumulative[stop - 1])),
             )
-    raise NumericError(
-        f"transition row from n={n} did not capture 1 - {tail_tol} "
-        f"within m <= {_ROW_LIMIT}",
-        partial=tuple(probs),
-    )
+    raise NumericError(f"transition row from n={n} did not capture 1 - {tail_tol} "
+                       f"within m <= {_ROW_SIZES[-1] - 1}", partial=tuple(probs.tolist()))
 
 
 def ground_state_survival(frame: CanonicalFrame, t: float) -> float:

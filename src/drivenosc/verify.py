@@ -18,6 +18,7 @@ from scipy.integrate import solve_ivp
 
 from . import canonical, classical, hermite, schrodinger, transitions
 from .classical import OscillatorParams, PhaseState
+from .errors import NumericError
 from .forcing import PulseForcing, SinusoidForcing, ZeroForcing
 from .scenario import Scenario
 
@@ -61,18 +62,21 @@ class _Context:
 
     def safe_times(self, count: int, seed: int, margin: float = 0.01) -> np.ndarray:
         """Random times in the frame range, away from ends and breakpoints
-        (finite differences need a smooth neighborhood)."""
+        (finite differences need a smooth neighborhood), or NumericError."""
         rng = np.random.default_rng(seed)
         t_max = self.scenario.t_max
         lo, hi = margin * t_max, (1.0 - margin) * t_max
-        guard = 4.0 * t_max / max(self.scenario.frame_points - 1, 1)
-        breaks = self.spec.breakpoints(0.0, t_max)
+        guard = 10.0 * 1e-5 * max(1.0, t_max)  # ten finite-difference steps
+        breaks = np.asarray(self.spec.breakpoints(0.0, t_max), dtype=float)
         out = []
-        while len(out) < count:
+        for _ in range(100 * count):
             t = float(rng.uniform(lo, hi))
-            if all(abs(t - b) > guard for b in breaks):
+            if np.all(np.abs(t - breaks) > guard):
                 out.append(t)
-        return np.array(out)
+                if len(out) == count:
+                    return np.array(out)
+        raise NumericError(f"safe_times: guard bands of {breaks.size} breakpoints leave "
+                           f"room for {len(out)} of {count} times", partial=np.array(out))
 
 
 # ---------------------------------------------------------------------------

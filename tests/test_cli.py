@@ -9,9 +9,11 @@ import pytest
 from drivenosc import (
     ConstantForcing,
     DomainError,
+    NumericError,
     OscillatorParams,
     PhaseState,
     SinusoidForcing,
+    TabulatedForcing,
     evolve,
     ground_state_survival,
 )
@@ -157,6 +159,20 @@ class TestTransitionsCommand:
         assert main(["transitions", "--scenario", str(scn), "--out", str(tmp_path)]) == 3
         assert time.perf_counter() - start < 10.0
 
+    def test_high_level_rows_sum_to_one(self, tmp_path):
+        # constant K = 2 displaces by lambda = 2 K^2 = 8 at t = pi
+        scn = write_scenario(tmp_path, forcing={"type": "constant", "K": 2.0},
+                             time={"t_max": math.pi, "samples": 9},
+                             quantum={"n_initial": 30, "tail_tol": 1e-12})
+        assert main(["transitions", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "transition_rows.json").read_text())
+        assert rows[-1]["lambda"] == pytest.approx(8.0, rel=1e-9)
+        for row in rows:
+            assert abs(sum(row["probabilities"]) - 1.0) < 1e-10
+        _, csv_rows = read_csv(tmp_path / "transitions.csv")
+        for t in np.unique(csv_rows[:, 0]):
+            assert csv_rows[csv_rows[:, 0] == t, 3].sum() < 1.0 + 1e-10
+
 
 class TestSurvivalCommand:
     def test_matches_library_survival(self, tmp_path):
@@ -190,6 +206,22 @@ class TestEvolvePdeCommand:
             grid={"x_min": -6.0, "x_max": 6.0, "points": 256, "dt": 1e-3},
         )
         assert main(["evolve-pde", "--scenario", str(scn), "--out", str(tmp_path)]) == 3
+
+
+class TestNonFiniteScenario:
+    def test_infinite_grid_edge_is_a_config_error(self, tmp_path):
+        scn = write_scenario(tmp_path, grid={"x_min": -math.inf, "x_max": 6.0,
+                                             "points": 256, "dt": 1e-3})
+        assert "-Infinity" in scn.read_text()
+        assert main(["evolve-pde", "--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "evolution.csv").exists()
+
+    def test_nan_table_knot_is_a_config_error(self, tmp_path):
+        scn = write_scenario(tmp_path, forcing={
+            "type": "tabulated", "samples": [[0.0, 0.0], [math.nan, 1.0], [2.0, 0.0]]})
+        assert "NaN" in scn.read_text()
+        assert main(["evolve-pde", "--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "evolution.csv").exists()
 
 
 class TestVerifyCommand:
@@ -234,6 +266,32 @@ class TestVerifyCommand:
         times = _Context(scn).safe_times(60, seed=201)
         assert len(times) == 60
         assert np.all((times >= 1.0) & (times <= 99.0))
+
+    def test_safe_times_returns_on_dense_table(self):
+        # 1001 knots 0.01 apart: the guard bands are sized from the
+        # finite-difference step, not the frame spacing, and leave room
+        knots = [[0.01 * i, math.sin(0.37 * i)] for i in range(1001)]
+        scn = Scenario.from_dict({
+            "params": {"m": 1.0, "omega": 1.0},
+            "forcing": {"type": "tabulated", "samples": knots},
+            "time": {"t_max": 10.0, "samples": 5},
+        })
+        start = time.perf_counter()
+        times = _Context(scn).safe_times(60, seed=201)
+        assert time.perf_counter() - start < 5.0
+        assert len(times) == 60
+        gaps = np.abs(times[:, None] - np.array([k[0] for k in knots])[None, :])
+        assert gaps.min() > 1e-4
+
+    def test_safe_times_without_room_is_a_numeric_error(self):
+        # knots 1.5e-4 apart on [0, 1]: bands of half-width 1e-4 cover it
+        knots = [[1.5e-4 * i, 0.0] for i in range(6668)]
+        scn = Scenario(params=OscillatorParams(1.0, 1.0),
+                       forcing=TabulatedForcing(knots), t_max=1.0, samples=2)
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match="safe_times"):
+            _Context(scn).safe_times(10, seed=201)
+        assert time.perf_counter() - start < 5.0
 
     def test_invalid_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, gammaln
 
 from drivenosc import (
     ConstantForcing,
@@ -19,6 +19,7 @@ from drivenosc import (
     transition_probability,
 )
 from drivenosc.canonical import build_frame
+from drivenosc.transitions import probability_column
 
 
 def poisson(lam, m):
@@ -216,3 +217,56 @@ class TestTransitionRowType:
     def test_rejects_oversubscribed_row(self):
         with pytest.raises(DomainError):
             TransitionRow(n=0, t=0.0, probabilities=(0.7, 0.7), truncation_m=2, tail_bound=0.0)
+
+
+def laguerre_probabilities(n, m, lam):
+    """P(n -> m) from scipy's associated Laguerre polynomial, factorials in
+    log space; an independent route to the column for large n and m."""
+    lo, hi = np.minimum(n, m), np.maximum(n, m)
+    log_pref = gammaln(lo + 1) - gammaln(hi + 1) + (hi - lo) * np.log(lam) - lam
+    with np.errstate(divide="ignore"):
+        return np.exp(log_pref + 2.0 * np.log(np.abs(eval_genlaguerre(lo, hi - lo, lam))))
+
+
+def displacement(lam, angle):
+    r = math.sqrt(2.0 * lam)
+    return DisplacementParams(r * math.cos(angle), r * math.sin(angle))
+
+
+class TestHighQuantumNumbers:
+    def test_laguerre_probabilities_up_to_n_300(self):
+        rng = np.random.default_rng(40)
+        for n in (0, 1, 7, 30, 40, 100, 200, 300):
+            for lam in (1e-6, 0.5, 3.0, 8.0, 20.0, 50.0):
+                d = displacement(lam, float(rng.uniform(0.0, 2.0 * math.pi)))
+                m_stop = 2 * n + 200
+                probs = probability_column(n, d, m_stop)
+                ref = laguerre_probabilities(n, np.arange(m_stop), d.poisson_mean())
+                assert np.max(np.abs(probs - ref)) < 1e-12
+                assert abs(probs.sum() - 1.0) < 1e-10
+
+    def test_matches_order_200_quadrature_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            total = int(rng.integers(0, 191))
+            n = int(rng.integers(0, total + 1))
+            d = DisplacementParams(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
+            oracle = overlap_by_quadrature(n, total - n, d, order=200)
+            assert abs(overlap_amplitude(n, total - n, d) - oracle.value) < 1e-10
+
+    def test_n_2000_is_finite_or_numeric_error(self, const_frame_pi):
+        for lam in (0.01, 20.0, 2000.0):
+            probs = probability_column(2000, displacement(lam, 0.3), 2600)
+            assert np.all(np.isfinite(probs))
+        with pytest.raises(NumericError) as exc:
+            probability_row(2000, const_frame_pi, 2.0, tail_tol=1e-9)
+        assert np.all(np.isfinite(exc.value.partial))
+
+    def test_unrepresentable_mean_is_numeric_error(self):
+        # lambda overflows to inf: no finite row exists
+        with pytest.raises(NumericError), np.errstate(invalid="ignore"):
+            probability_column(0, DisplacementParams(1e200, 0.0), 8)
+
+    def test_row_rejects_nan(self):
+        with pytest.raises(DomainError):
+            TransitionRow(n=0, t=0.0, probabilities=(math.nan,), truncation_m=1, tail_bound=0.0)
