@@ -22,15 +22,17 @@ pointwise.  The same data feeds the quantum shift-plus-phase maps in
 
 A frame stores (x_nh, xdot_nh, G) at ``grid_points`` uniform nodes.  There
 is no spline: a read at any t resumes the response walk from the node at
-or before t (see ``_walk``), so every read is exact to rounding and
+or before t (see ``classical._walk``), so every read is exact to rounding and
 ``grid_points`` (the scenario's ``frame_points``) sets only the cost split
 between building and reading.  The walk gets G from the identity
 
     G(t) = x_nh p_nh / 2 + (1/2) integral_0^t x_nh k ds,   p_nh = m xdot_nh,
 
-which follows from the equation of motion (derived in NOTES.md).
-Independent quadrature evaluation remains available for verification via
-``exact_values``.
+which follows from the equation of motion (derived in NOTES.md).  The
+walk itself lives in :mod:`drivenosc.classical`; this module keeps the
+frame reads, the generating functions and the maps.  ``exact_values`` is
+the independent oracle: adaptive quadrature for z_nh and one pass of
+fixed panels for G, the response carried from node to node.
 
 Frames are immutable once built and safe to evaluate concurrently.
 """
@@ -42,93 +44,16 @@ import math
 
 import numpy as np
 
-from .classical import OscillatorParams, PhaseState, _sin_over_omega, nonhomogeneous
-from .errors import DomainError, NumericError
+from .classical import OscillatorParams, PhaseState, _duhamel, _panel_len, _walk, propagator
+from .errors import DomainError
 from .forcing import ForcingSpec
-from .quadrature import _KRONROD_NODES, _KRONROD_WEIGHTS, fixed_gauss_kronrod
-
-# Most panels one walk may take (about 2 s), and panels per vectorized
-# block (a few MB of temporaries).
-_PANEL_BUDGET = 200_000
-_CHUNK = 2048
-
-
-def _spectral_matrix(nodes: np.ndarray) -> np.ndarray:
-    """S[i, j] = integral_{-1}^{x_i} l_j(s) ds for the Lagrange basis l_j on
-    the nodes x_i, so S @ f(x) is the running integral of the interpolant
-    of f.  Built in the Legendre basis, where both steps are well posed."""
-    leg = np.polynomial.legendre
-    eye = np.eye(len(nodes))
-    running = np.stack([leg.legval(nodes, leg.legint(c, lbnd=-1.0)) for c in eye], axis=1)
-    return np.linalg.solve(leg.legvander(nodes, len(nodes) - 1).T, running.T).T
-
-
-_SPECTRAL = _spectral_matrix(_KRONROD_NODES)
+from .quadrature import fixed_gauss_kronrod
 
 
 def _lagrangian(params: OscillatorParams, spec: ForcingSpec, x: float,
                 xdot: float, t: float) -> float:
     m, w = params.m, params.omega
     return 0.5 * m * xdot * xdot - 0.5 * m * w * w * x * x + x * spec.evaluate(t)
-
-
-def _panel_len(params: OscillatorParams, spec: ForcingSpec) -> float:
-    rate = max(params.omega, spec.oscillation_rate())
-    return 0.25 / rate if rate > 0.0 else math.inf
-
-
-def _walk(params: OscillatorParams, spec: ForcingSpec, stops: np.ndarray,
-          x0: float, p0: float, j0: float):
-    """(x, p, J) of the response at ascending ``stops``, from (x0, p0, j0)
-    at stops[0], where p = m xdot and J(t) = integral_0^t x k ds.
-
-    Panel edges are the stops, the kinks of k and splits to ``_panel_len``.
-    On a panel [a, b] the state is z(u) = U(u - a) (z(a) + c(u)) with
-    c(u) = integral_a^u U(a - s) (0, k(s)) ds: the 15-point Kronrod rule
-    gives c(b) and the spectral matrix gives c at the interior nodes, where
-    x feeds the rule for J.  k is smooth on each panel, so all of it is
-    exact to rounding.
-    """
-    m, w = params.m, params.omega
-    pts = np.union1d(stops, spec.breakpoints(float(stops[0]), float(stops[-1])))
-    lengths = np.diff(pts)
-    with np.errstate(over="ignore"):  # an overflow is an infinite count
-        counts = np.maximum(np.ceil(lengths / _panel_len(params, spec)), 1.0)
-    total = float(np.sum(counts))
-    if not total <= _PANEL_BUDGET:
-        raise NumericError(f"frame walk over [{pts[0]}, {pts[-1]}] needs {total:.3g} "
-                           f"panels, over the budget of {_PANEL_BUDGET}")
-    counts = counts.astype(int)
-    seg = np.repeat(np.arange(len(lengths)), counts)
-    step = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
-    edges = np.append(pts[seg] + lengths[seg] * step / counts[seg], pts[-1])
-
-    xs, ps, js = (np.empty(len(edges)) for _ in range(3))
-    xs[0], ps[0], js[0] = x0, p0, j0
-    for lo in range(0, len(edges) - 1, _CHUNK):
-        hi = min(lo + _CHUNK, len(edges) - 1)
-        a, b = edges[lo:hi], edges[lo + 1:hi + 1]
-        half = 0.5 * (b - a)
-        u = (a + half)[:, None] + half[:, None] * _KRONROD_NODES
-        k = np.array([spec.evaluate(s) for s in u.ravel()]).reshape(u.shape)
-        tau = a[:, None] - u
-        cos_tau, sin_tau = np.cos(w * tau), _sin_over_omega(w, tau)
-        fx, fp = sin_tau / m * k, cos_tau * k  # U(a - u) (0, k(u))
-        end_x, end_p = half * (fx @ _KRONROD_WEIGHTS), half * (fp @ _KRONROD_WEIGHTS)
-
-        cos_h, sin_h = np.cos(w * (b - a)), _sin_over_omega(w, b - a)
-        x, p = xs[lo], ps[lo]
-        for i in range(len(a)):
-            x, p = x + end_x[i], p + end_p[i]
-            x, p = cos_h[i] * x + sin_h[i] / m * p, cos_h[i] * p - m * w * w * sin_h[i] * x
-            xs[lo + i + 1], ps[lo + i + 1] = x, p
-
-        # x at the interior nodes: U(u - a) = U(-tau) applied to z(a) + c(u)
-        x_u = (cos_tau * (xs[lo:hi, None] + half[:, None] * (fx @ _SPECTRAL.T))
-               - sin_tau / m * (ps[lo:hi, None] + half[:, None] * (fp @ _SPECTRAL.T)))
-        js[lo + 1:hi + 1] = js[lo] + np.cumsum(half * ((x_u * k) @ _KRONROD_WEIGHTS))
-    at = np.searchsorted(edges, stops)
-    return xs[at], ps[at], js[at]
 
 
 class CanonicalFrame:
@@ -178,22 +103,32 @@ class CanonicalFrame:
         return self._read(t)
 
     def exact_values(self, t: float) -> tuple[float, float, float]:
-        """(x_nh, xdot_nh, G) by direct quadrature, independent of the walk."""
+        """(x_nh, xdot_nh, G) by adaptive quadrature, independent of the walk.
+
+        One pass: the action integrand carries z_nh from one quadrature node
+        to the next, z(s) = U(s - s') z(s') + _duhamel(s', s), so each kink
+        of k is integrated over once (a node out of order restarts from 0).
+        """
         t = self._clamp(t)
-        tol = min(self.tol, 1e-12)
-        z = nonhomogeneous(self.params, self.spec, t, tol=tol)
+        params, spec = self.params, self.spec
+        z = _duhamel(params, spec, 0.0, t, min(self.tol, 1e-12))
+        s_prev, z_prev = 0.0, np.zeros(2)  # last node s' and z_nh(s')
 
         def integrand(s):
-            zs = nonhomogeneous(self.params, self.spec, s, tol=1e-13)
-            return np.array([_lagrangian(self.params, self.spec, zs.x,
-                                         zs.p / self.params.m, s)])
+            nonlocal s_prev, z_prev
+            if s < s_prev:
+                s_prev, z_prev = 0.0, np.zeros(2)
+            z_prev = (propagator(params, s - s_prev) @ z_prev
+                      + _duhamel(params, spec, s_prev, s, 1e-13))
+            s_prev = s
+            return np.array([_lagrangian(params, spec, z_prev[0], z_prev[1] / params.m, s)])
 
         g = fixed_gauss_kronrod(
             integrand, 0.0, t,
-            breakpoints=self.spec.breakpoints(0.0, t),
-            panel_len=_panel_len(self.params, self.spec),
+            breakpoints=spec.breakpoints(0.0, t),
+            panel_len=_panel_len(params, spec),
         )
-        return z.x, z.p / self.params.m, float(g[0])
+        return float(z[0]), float(z[1] / params.m), float(g[0])
 
     # -- generating functions and phases ------------------------------------
 

@@ -1,14 +1,22 @@
-"""Classical driven oscillator: exact propagator plus response integral.
+"""Classical driven oscillator: exact propagator plus the response walk.
 
 Equations of motion for H = p^2/2m + m w^2 x^2/2 - x k(t):
 
     d/dt (x, p) = A (x, p) + (0, k(t)),   A = [[0, 1/m], [-m w^2, 0]]
 
 The homogeneous flow is the exact matrix exponential U(t) = exp(A t); the
-driven solution is U(t) z0 plus the convolution of U with (0, k).  The flow
-preserves the quadratic form diag(m w^2/2, 1/(2m)): orbits in the frame of
-the zero-initial-condition response z_nh(t) are ellipses of constant
-"energy", which is the main conserved diagnostic exported here.
+driven solution is U(t) z0 plus the zero-initial-condition response
+z_nh(t), the convolution of U with (0, k).  The flow preserves the
+quadratic form diag(m w^2/2, 1/(2m)): orbits in the frame of z_nh are
+ellipses of constant "energy", which is the main conserved diagnostic
+exported here.
+
+This module owns the one response kernel, ``_walk``: it carries
+(x, p, J = integral_0^t x k ds) across 15-point Kronrod panels, exact to
+rounding.  ``evolve``, ``nonhomogeneous`` and the canonical frame all run
+on it.  ``_duhamel`` integrates the convolution directly by adaptive
+Gauss-Kronrod, with no carried state and no spectral matrix, and serves
+only as the independent oracle behind ``CanonicalFrame.exact_values``.
 
 w = 0 is the free-particle limit; sin(w t)/w goes over to t there, so the
 propagator needs no separate branch.
@@ -21,9 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .forcing import ForcingSpec
-from .quadrature import adaptive_gauss_kronrod
+from .quadrature import _KRONROD_NODES, _KRONROD_WEIGHTS, adaptive_gauss_kronrod
+
+# Most panels one walk may take (about 2 s), and panels per vectorized
+# block (a few MB of temporaries).
+_PANEL_BUDGET = 200_000
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -80,9 +93,105 @@ def quadratic_invariant(params: OscillatorParams, z: PhaseState) -> float:
     return 0.5 * (params.m * params.omega**2 * z.x**2 + z.p**2 / params.m)
 
 
+def _spectral_matrix(nodes: np.ndarray) -> np.ndarray:
+    """S[i, j] = integral_{-1}^{x_i} l_j(s) ds for the Lagrange basis l_j on
+    the nodes x_i, so S @ f(x) is the running integral of the interpolant
+    of f.  Built in the Legendre basis, where both steps are well posed."""
+    leg = np.polynomial.legendre
+    eye = np.eye(len(nodes))
+    running = np.stack([leg.legval(nodes, leg.legint(c, lbnd=-1.0)) for c in eye], axis=1)
+    return np.linalg.solve(leg.legvander(nodes, len(nodes) - 1).T, running.T).T
+
+
+_SPECTRAL = _spectral_matrix(_KRONROD_NODES)
+
+
+def _panel_len(params: OscillatorParams, spec: ForcingSpec) -> float:
+    rate = max(params.omega, spec.oscillation_rate())
+    return 0.25 / rate if rate > 0.0 else math.inf
+
+
+def _walk(params: OscillatorParams, spec: ForcingSpec, stops: np.ndarray,
+          x0: float, p0: float, j0: float):
+    """(x, p, J) of the response at ascending ``stops``, from (x0, p0, j0)
+    at stops[0], where p = m xdot and J(t) = integral_0^t x k ds.
+
+    Panel edges are the stops, the kinks of k and splits to ``_panel_len``.
+    On a panel [a, b] the state is z(u) = U(u - a) (z(a) + c(u)) with
+    c(u) = integral_a^u U(a - s) (0, k(s)) ds: the 15-point Kronrod rule
+    gives c(b) and the spectral matrix gives c at the interior nodes, where
+    x feeds the rule for J.  k is smooth on each panel, so all of it is
+    exact to rounding.  A state that leaves the floats raises NumericError.
+    """
+    m, w = params.m, params.omega
+    pts = np.union1d(stops, spec.breakpoints(float(stops[0]), float(stops[-1])))
+    lengths = np.diff(pts)
+    with np.errstate(over="ignore"):  # an overflow is an infinite count
+        counts = np.maximum(np.ceil(lengths / _panel_len(params, spec)), 1.0)
+    total = float(np.sum(counts))
+    if not total <= _PANEL_BUDGET:
+        raise NumericError(f"response walk over [{pts[0]}, {pts[-1]}] needs {total:.3g} "
+                           f"panels, over the budget of {_PANEL_BUDGET}")
+    counts = counts.astype(int)
+    seg = np.repeat(np.arange(len(lengths)), counts)
+    step = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
+    edges = np.append(pts[seg] + lengths[seg] * step / counts[seg], pts[-1])
+
+    xs, ps, js = (np.empty(len(edges)) for _ in range(3))
+    xs[0], ps[0], js[0] = x0, p0, j0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked per block
+        for lo in range(0, len(edges) - 1, _CHUNK):
+            hi = min(lo + _CHUNK, len(edges) - 1)
+            a, b = edges[lo:hi], edges[lo + 1:hi + 1]
+            half = 0.5 * (b - a)
+            u = (a + half)[:, None] + half[:, None] * _KRONROD_NODES
+            k = np.array([spec.evaluate(s) for s in u.ravel()]).reshape(u.shape)
+            tau = a[:, None] - u
+            cos_tau, sin_tau = np.cos(w * tau), _sin_over_omega(w, tau)
+            fx, fp = sin_tau / m * k, cos_tau * k  # U(a - u) (0, k(u))
+            end_x, end_p = half * (fx @ _KRONROD_WEIGHTS), half * (fp @ _KRONROD_WEIGHTS)
+
+            cos_h, sin_h = np.cos(w * (b - a)), _sin_over_omega(w, b - a)
+            x, p = xs[lo], ps[lo]
+            for i in range(len(a)):
+                x, p = x + end_x[i], p + end_p[i]
+                x, p = cos_h[i] * x + sin_h[i] / m * p, cos_h[i] * p - m * w * w * sin_h[i] * x
+                xs[lo + i + 1], ps[lo + i + 1] = x, p
+
+            # x at the interior nodes: U(u - a) = U(-tau) applied to z(a) + c(u)
+            x_u = (cos_tau * (xs[lo:hi, None] + half[:, None] * (fx @ _SPECTRAL.T))
+                   - sin_tau / m * (ps[lo:hi, None] + half[:, None] * (fp @ _SPECTRAL.T)))
+            js[lo + 1:hi + 1] = js[lo] + np.cumsum(half * ((x_u * k) @ _KRONROD_WEIGHTS))
+            if not (math.isfinite(xs[hi]) and math.isfinite(ps[hi]) and math.isfinite(js[hi])):
+                block = slice(lo + 1, hi + 1)  # non-finite stays non-finite
+                finite = np.isfinite(xs[block]) & np.isfinite(ps[block]) & np.isfinite(js[block])
+                raise NumericError(f"response walk over [{pts[0]}, {pts[-1]}] left the "
+                                   f"floating-point range at t = {edges[block][~finite][0]:.6g}")
+    at = np.searchsorted(edges, stops)
+    return xs[at], ps[at], js[at]
+
+
+def nonhomogeneous(params: OscillatorParams, spec: ForcingSpec, t: float) -> PhaseState:
+    """Zero-initial-condition response z_nh(t), by one walk from 0: the
+    moving frame's center."""
+    if not math.isfinite(t) or t < 0.0:
+        raise DomainError(f"the response needs finite t >= 0, got {t!r}")
+    xs, ps, _ = _walk(params, spec, np.array([0.0, t]), 0.0, 0.0, 0.0)
+    return PhaseState(float(xs[-1]), float(ps[-1]))
+
+
+def evolve(params: OscillatorParams, z0: PhaseState, spec: ForcingSpec,
+           t: float) -> PhaseState:
+    """State at time t >= 0: U(t) z0 plus the driven response z_nh(t)."""
+    znh = nonhomogeneous(params, spec, t)
+    z = propagator(params, t) @ z0.as_array()
+    return PhaseState(float(z[0]) + znh.x, float(z[1]) + znh.p)
+
+
 def _duhamel(params: OscillatorParams, spec: ForcingSpec, t0: float, t1: float,
              tol: float) -> np.ndarray:
-    """Integral of U(t1 - s) (0, k(s)) over [t0, t1]."""
+    """Integral of U(t1 - s) (0, k(s)) over [t0, t1] by adaptive quadrature;
+    the walk's independent oracle (see ``CanonicalFrame.exact_values``)."""
     m, w = params.m, params.omega
 
     def integrand(s: float) -> np.ndarray:
@@ -95,23 +204,6 @@ def _duhamel(params: OscillatorParams, spec: ForcingSpec, t0: float, t1: float,
     return adaptive_gauss_kronrod(
         integrand, t0, t1, tol=tol, breakpoints=spec.breakpoints(t0, t1)
     )
-
-
-def evolve(params: OscillatorParams, z0: PhaseState, spec: ForcingSpec,
-           t: float, tol: float = 1e-10) -> PhaseState:
-    """State at time t >= 0: U(t) z0 plus the driven response integral."""
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"evolve needs finite t >= 0, got {t!r}")
-    z = propagator(params, t) @ z0.as_array()
-    if t > 0.0:
-        z = z + _duhamel(params, spec, 0.0, t, tol)
-    return PhaseState(float(z[0]), float(z[1]))
-
-
-def nonhomogeneous(params: OscillatorParams, spec: ForcingSpec, t: float,
-                   tol: float = 1e-10) -> PhaseState:
-    """Zero-initial-condition response z_nh(t): the moving frame's center."""
-    return evolve(params, PhaseState(0.0, 0.0), spec, t, tol)
 
 
 def laboratory_ellipse(params: OscillatorParams, K: float, t: float) -> PhaseState:

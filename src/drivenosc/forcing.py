@@ -12,7 +12,7 @@ between threads, and serializable to a small JSON object.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -145,7 +145,8 @@ class TabulatedForcing(ForcingSpec):
         return k0 + (k1 - k0) * (t - t0) / (t1 - t0)
 
     def breakpoints(self, t0, t1):
-        return tuple(t for t, _ in self.samples if t0 < t < t1)
+        times = self._times
+        return tuple(times[bisect_right(times, t0):bisect_left(times, t1)])
 
     def to_dict(self):
         return {"type": "tabulated", "samples": [[t, k] for t, k in self.samples]}

@@ -1,17 +1,19 @@
-"""Gauss-Kronrod quadrature kernels used across the library.
+"""Gauss-Kronrod quadrature kernels behind the verification oracles.
 
-Two routines, both deterministic, for vector-valued integrands:
+Two routines, both deterministic, for vector-valued integrands.  Both
+serve only ``CanonicalFrame.exact_values``, the quadrature oracle for the
+response walk in :mod:`drivenosc.classical`:
 
 * ``adaptive_gauss_kronrod`` -- a global worst-interval-first refinement of
   the 7/15 Gauss-Kronrod pair.  Used for the inhomogeneous-response
-  integrals, where the integrand is a smooth 2-vector away from known
-  breakpoints.
+  integral, where the integrand is a smooth 2-vector away from known
+  breakpoints (``classical._duhamel``).
 * ``fixed_gauss_kronrod`` -- non-adaptive 15-point panels, for integrands
-  that are analytic on panels of a known length.
+  that are analytic on panels of a known length (the oracle's action).
 
 Known non-smooth points (pulse edges, table knots) are passed in as
 ``breakpoints`` so neither routine has to discover them.  The 15-point
-nodes and weights are also the panel rule of the canonical-frame walk.
+nodes and weights are also the panel rule of the response walk.
 """
 
 from __future__ import annotations

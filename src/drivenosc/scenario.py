@@ -26,12 +26,18 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-def _finite(text: str) -> float:
-    """JSON number hook: Python's json reads NaN, Infinity and 1e999; refuse them."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise DomainError(f"scenario holds the non-finite number {text}")
-    return value
+def _check_finite(value, where: str = "scenario") -> None:
+    """Refuse NaN and +-inf anywhere in a scenario dict: JSON numbers are
+    finite, but Python's json reads NaN, Infinity and 1e999 and the schema
+    takes a float NaN for a number."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{where}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{where}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{where} is the non-finite number {value!r}")
 
 
 SCENARIO_SCHEMA = _load_schema("scenario.schema.json")
@@ -52,7 +58,7 @@ class Scenario:
     tail_tol: float = 1e-9
     grid: GridSpec | None = None
     frame_points: int = 1025
-    tol: float = 1e-10
+    tol: float = 1e-10  # verify's quadrature oracle only; no other result depends on it
     output: str | None = None
 
     def resolved_grid(self, dt: float = 1e-3) -> GridSpec:
@@ -74,6 +80,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        _check_finite(data)
         try:
             jsonschema.validate(data, SCENARIO_SCHEMA)
         except jsonschema.ValidationError as exc:
@@ -105,7 +112,7 @@ class Scenario:
     def from_file(cls, path) -> "Scenario":
         try:
             with open(path) as fh:
-                data = json.load(fh, parse_float=_finite, parse_constant=_finite)
+                data = json.load(fh)
         except OSError as exc:
             raise DomainError(f"cannot read scenario file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -152,7 +152,7 @@ def check_evolve_vs_rk(ctx) -> float:
     for params, spec in cases:
         z0 = PhaseState(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
         t = float(rng.uniform(0.5, 5.0))
-        got = classical.evolve(params, z0, spec, t, tol=1e-12)
+        got = classical.evolve(params, z0, spec, t)
         ref = _rk_reference(params, spec, z0, t)
         worst = max(worst, abs(got.x - ref.x), abs(got.p - ref.p))
     return worst
@@ -167,8 +167,8 @@ def check_moving_ellipse_invariant(ctx) -> float:
     scale = max(1.0, abs(ref))
     worst = 0.0
     for t in np.linspace(0.0, scn.t_max, scn.samples):
-        z = classical.evolve(ctx.params, z0, ctx.spec, float(t), tol=scn.tol)
-        znh = classical.nonhomogeneous(ctx.params, ctx.spec, float(t), tol=scn.tol)
+        z = classical.evolve(ctx.params, z0, ctx.spec, float(t))
+        znh = classical.nonhomogeneous(ctx.params, ctx.spec, float(t))
         inv = classical.quadratic_invariant(
             ctx.params, PhaseState(z.x - znh.x, z.p - znh.p))
         worst = max(worst, abs(inv - ref) / scale)
@@ -246,7 +246,7 @@ def check_classical_frame_covariance(ctx) -> float:
     worst = 0.0
     for t in ctx.safe_times(10, seed=208):
         z0 = PhaseState(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-        lab = classical.evolve(ctx.params, z0, ctx.spec, t, tol=ctx.scenario.tol)
+        lab = classical.evolve(ctx.params, z0, ctx.spec, t)
         lhs = ctx.frame.to_moving(lab, t)
         rhs = classical.evolve(ctx.params, ctx.frame.to_moving(z0, 0.0), ZeroForcing(), t)
         worst = max(worst, abs(lhs.x - rhs.x), abs(lhs.p - rhs.p))

@@ -107,7 +107,7 @@ def test_03_evolve_vs_runge_kutta():
                                 t_on + float(rng.uniform(0.2, 2.0)))
         z0 = PhaseState(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
         t = float(rng.uniform(0.5, 6.0))
-        got = evolve(params, z0, spec, t, tol=1e-12)
+        got = evolve(params, z0, spec, t)
         ref = _rk_oracle(params, spec, z0, t)
         worst = max(worst, abs(got.x - ref.x), abs(got.p - ref.p))
     report(3, "evolution vs Runge-Kutta oracle (100 scenarios)", worst, 1e-8)
@@ -127,8 +127,8 @@ def test_04_moving_ellipse_invariant():
     worst = 0.0
     for spec in specs:
         for t in np.linspace(0.0, 4.0, 33):
-            z = evolve(params, z0, spec, float(t), tol=1e-12)
-            znh = nonhomogeneous(params, spec, float(t), tol=1e-12)
+            z = evolve(params, z0, spec, float(t))
+            znh = nonhomogeneous(params, spec, float(t))
             inv = quadratic_invariant(params, PhaseState(z.x - znh.x, z.p - znh.p))
             worst = max(worst, abs(inv - ref) / max(abs(ref), 1e-30))
     report(4, "moving-ellipse invariant constancy", worst, 1e-8)

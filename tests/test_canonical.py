@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from drivenosc import (
     PhaseState,
     PulseForcing,
     SinusoidForcing,
+    TabulatedForcing,
     ZeroForcing,
     evolve,
-    nonhomogeneous,
+    laboratory_ellipse,
 )
 from drivenosc.canonical import build_frame
 
@@ -46,7 +48,7 @@ class TestFrameData:
 
     def test_center_matches_classical_response(self, const_frame_pi, params11):
         for t in (0.4, 1.3, 2.8):
-            z = nonhomogeneous(params11, ConstantForcing(1.0), t, tol=1e-13)
+            z = laboratory_ellipse(params11, 1.0, t)
             assert const_frame_pi.x_nh(t) == pytest.approx(z.x, abs=1e-11)
             assert const_frame_pi.xdot_nh(t) == pytest.approx(z.p, abs=1e-11)
 
@@ -67,10 +69,10 @@ class TestFrameData:
         fr = build_frame(params, spec, 10 * math.pi, grid_points=1025)
         for edge in (spec.t_on, spec.t_off):
             for t in (edge - 1e-3, edge + 1e-3):
-                z = nonhomogeneous(params, spec, t, tol=1e-13)
+                x_ref, xdot_ref, _ = fr.exact_values(t)
                 x, xdot, _ = fr.values(t)
-                assert abs(x - z.x) < 1e-10
-                assert abs(xdot - z.p / params.m) < 1e-10
+                assert abs(x - x_ref) < 1e-10
+                assert abs(xdot - xdot_ref) < 1e-10
 
     def test_reads_exact_between_coarse_nodes(self):
         # node spacing h = 200/1024 with h * max(omega, Omega) > 1
@@ -79,10 +81,20 @@ class TestFrameData:
         fr = build_frame(params, spec, 200.0, grid_points=1025)
         assert fr.grid[1] * max(params.omega, spec.Omega) > 1.0
         for t in (0.37, 3.05, 11.9):
-            z = nonhomogeneous(params, spec, t, tol=1e-13)
+            x_ref, xdot_ref, _ = fr.exact_values(t)
             x, xdot, _ = fr.values(t)
-            assert abs(x - z.x) < 1e-10 * max(1.0, abs(z.x))
-            assert abs(xdot - z.p / params.m) < 1e-10 * max(1.0, abs(z.p))
+            assert abs(x - x_ref) < 1e-10 * max(1.0, abs(x_ref))
+            assert abs(xdot - xdot_ref) < 1e-10 * max(1.0, abs(params.m * xdot_ref))
+
+    def test_oracle_makes_one_pass_over_a_dense_table(self, params11):
+        # 1001 knots 0.01 apart: the oracle carries the response from node to
+        # node instead of integrating over every kink again at each node
+        knots = [[0.01 * i, math.sin(0.37 * i)] for i in range(1001)]
+        fr = build_frame(params11, TabulatedForcing(knots), 10.0, grid_points=1025)
+        start = time.perf_counter()
+        exact = fr.exact_values(2.345)
+        assert time.perf_counter() - start < 10.0
+        np.testing.assert_allclose(fr.values(2.345), exact, rtol=0.0, atol=1e-12)
 
     def test_out_of_range_rejected(self, const_frame_pi):
         with pytest.raises(DomainError):
@@ -224,7 +236,7 @@ class TestPointMaps:
         fr = build_frame(params11, spec, 3.0, grid_points=513, tol=1e-12)
         z0 = PhaseState(0.6, -0.2)
         for t in (0.8, 1.7, 2.9):
-            lab = evolve(params11, z0, spec, t, tol=1e-12)
+            lab = evolve(params11, z0, spec, t)
             lhs = fr.to_moving(lab, t)
             rhs = evolve(params11, fr.to_moving(z0, 0.0), ZeroForcing(), t)
             assert abs(lhs.x - rhs.x) < 1e-6

@@ -107,7 +107,7 @@ class TestEvolve:
         # DOP853 at rtol 1e-13 gives (0.04233158904882588, -0.7726462157786769)
         p = OscillatorParams(1.0, 1.0)
         spec = SinusoidForcing(A=1.0, Omega=2.0, phi=0.0)
-        z = evolve(p, PhaseState(0.3, -0.2), spec, 1.7, tol=1e-12)
+        z = evolve(p, PhaseState(0.3, -0.2), spec, 1.7)
         assert z.x == pytest.approx(0.04233158904882588, abs=1e-8)
         assert z.p == pytest.approx(-0.7726462157786769, abs=1e-8)
 
@@ -128,7 +128,7 @@ class TestEvolve:
                     for t in np.linspace(0, 6, 7)))
             z0 = PhaseState(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
             t = float(rng.uniform(0.5, 5.0))
-            got = evolve(params, z0, spec, t, tol=1e-12)
+            got = evolve(params, z0, spec, t)
             ref = rk_oracle(params, spec, z0, t)
             assert abs(got.x - ref.x) < 1e-8
             assert abs(got.p - ref.p) < 1e-8
@@ -150,8 +150,7 @@ class TestNonhomogeneous:
 
     def test_sinusoid_frozen_oracle_value(self):
         # DOP853 reference at t = 2: (0.07916559477215568, -0.8076341391471754)
-        z = nonhomogeneous(OscillatorParams(1.0, 1.0), SinusoidForcing(1.0, 2.0, 0.0),
-                           2.0, tol=1e-12)
+        z = nonhomogeneous(OscillatorParams(1.0, 1.0), SinusoidForcing(1.0, 2.0, 0.0), 2.0)
         assert z.x == pytest.approx(0.07916559477215568, abs=1e-8)
         assert z.p == pytest.approx(-0.8076341391471754, abs=1e-8)
 
@@ -174,8 +173,8 @@ class TestQuadraticInvariant:
         z0 = PhaseState(0.8, -0.5)
         ref = quadratic_invariant(params, z0)
         for t in np.linspace(0.1, 4.0, 9):
-            z = evolve(params, z0, spec, float(t), tol=1e-12)
-            znh = nonhomogeneous(params, spec, float(t), tol=1e-12)
+            z = evolve(params, z0, spec, float(t))
+            znh = nonhomogeneous(params, spec, float(t))
             inv = quadratic_invariant(params, PhaseState(z.x - znh.x, z.p - znh.p))
             assert abs(inv - ref) / max(1.0, abs(ref)) < 1e-8
 
@@ -203,7 +202,7 @@ class TestLaboratoryEllipse:
         params = OscillatorParams(m, w)
         for t in (0.3, 1.1, 2.9):
             closed = laboratory_ellipse(params, K, t)
-            numeric = nonhomogeneous(params, ConstantForcing(K), t, tol=1e-13)
+            numeric = nonhomogeneous(params, ConstantForcing(K), t)
             assert closed.x == pytest.approx(numeric.x, abs=1e-11)
             assert closed.p == pytest.approx(numeric.p, abs=1e-11)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import time
@@ -17,7 +18,8 @@ from drivenosc import (
     evolve,
     ground_state_survival,
 )
-from drivenosc.canonical import build_frame
+from drivenosc import cli
+from drivenosc.canonical import CanonicalFrame, build_frame
 from drivenosc.cli import main
 from drivenosc.scenario import REPORT_SCHEMA, SCENARIO_SCHEMA, Scenario
 from drivenosc.verify import _Context
@@ -74,6 +76,26 @@ class TestScenario:
                 "extra": 1,
             })
 
+    @pytest.mark.parametrize("overrides", [
+        {"forcing": {"type": "sinusoid", "A": math.nan, "Omega": 2.0, "phi": 0.0}},
+        {"forcing": {"type": "sinusoid", "A": 1.0, "Omega": math.nan, "phi": 0.0}},
+        {"forcing": {"type": "sinusoid", "A": 1.0, "Omega": 2.0, "phi": math.nan}},
+        {"forcing": {"type": "tabulated", "samples": [[0.0, 0.0], [math.nan, 1.0], [2.0, 0.0]]}},
+        {"quantum": {"tail_tol": math.nan}},
+        {"tol": math.nan},
+        {"initial_state": {"x": math.inf, "p": 0.0}},
+        {"grid": {"x_min": -math.inf, "x_max": 6.0, "points": 256, "dt": 1e-3}},
+    ], ids=["A", "Omega", "phi", "knot", "tail_tol", "tol", "initial_x", "grid_x_min"])
+    def test_from_dict_refuses_non_finite_numbers(self, overrides):
+        data = {
+            "params": {"m": 1.0, "omega": 1.0},
+            "forcing": {"type": "constant", "K": 1.0},
+            "time": {"t_max": 1.0, "samples": 2},
+            **overrides,
+        }
+        with pytest.raises(DomainError, match="non-finite"):
+            Scenario.from_dict(data)
+
     def test_schema_file_is_valid_jsonschema(self):
         jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
         jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
@@ -100,7 +122,7 @@ class TestClassicalCommand:
         params = OscillatorParams(1.0, 1.0)
         spec = SinusoidForcing(1.0, 2.0, 0.1)
         for t, x, p, *_ in rows[::5]:
-            z = evolve(params, PhaseState(0.3, -0.2), spec, t, tol=1e-10)
+            z = evolve(params, PhaseState(0.3, -0.2), spec, t)
             assert x == pytest.approx(z.x, abs=1e-12)
             assert p == pytest.approx(z.p, abs=1e-12)
 
@@ -174,7 +196,29 @@ class TestTransitionsCommand:
             assert csv_rows[csv_rows[:, 0] == t, 3].sum() < 1.0 + 1e-10
 
 
+class TestOverflowingDrive:
+    @pytest.mark.parametrize("command", ["classical", "transitions", "survival"])
+    def test_overflowing_response_is_a_numeric_failure(self, tmp_path, capsys, command):
+        # K = 1e308 drives the action integral past the largest float
+        scn = write_scenario(tmp_path, forcing={"type": "constant", "K": 1e308})
+        assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 3
+        assert "response walk" in capsys.readouterr().err
+
+
 class TestSurvivalCommand:
+    def test_reads_the_frame_once_per_sample(self, tmp_path, monkeypatch):
+        reads = []
+        values = CanonicalFrame.values
+
+        def counted(self, t):
+            reads.append(t)
+            return values(self, t)
+
+        monkeypatch.setattr(CanonicalFrame, "values", counted)
+        scn = write_scenario(tmp_path)
+        assert main(["survival", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        assert len(reads) == 24
+
     def test_matches_library_survival(self, tmp_path):
         scn = write_scenario(tmp_path)
         assert main(["survival", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
@@ -315,6 +359,46 @@ class TestDeterminismAndJobs:
         main(["classical", "--scenario", str(scn), "--out", str(tmp_path / "b")])
         assert (tmp_path / "a/trajectory.csv").read_bytes() == \
             (tmp_path / "b/trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs, scenarios, cpus, workers", [
+        (64, 3, 8, 3),
+        (64, 5, 2, 2),
+        (3, 5, 8, 3),
+        (10**9, 4, 4, 4),
+        (8, 3, None, None),
+        (1, 3, 8, None),
+    ])
+    def test_jobs_clamped_to_scenarios_and_cpus(self, tmp_path, monkeypatch,
+                                                jobs, scenarios, cpus, workers):
+        # a recording stand-in for the pool: no process is started
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        paths = [write_scenario(tmp_path, name=f"s{i}.json", forcing={"type": "zero"},
+                                time={"t_max": 1.0, "samples": 2})
+                 for i in range(scenarios)]
+        argv = ["survival", "--jobs", str(jobs), "--out", str(tmp_path / "out")]
+        for path in paths:
+            argv += ["--scenario", str(path)]
+        assert main(argv) == 0
+        assert pools == ([] if workers is None else [workers])
+        assert len(list((tmp_path / "out").glob("s*/survival.csv"))) == scenarios
 
     def test_parallel_scenarios(self, tmp_path):
         s1 = write_scenario(tmp_path, name="one.json")
