@@ -59,12 +59,11 @@ def _lagrangian(params: OscillatorParams, spec: ForcingSpec, x: float,
 class CanonicalFrame:
     """Frame data (x_nh, xdot_nh, G) over [0, t_max]; see module docstring."""
 
-    def __init__(self, params, spec, grid, x_nodes, xdot_nodes, g_nodes, tol):
+    def __init__(self, params, spec, grid, x_nodes, xdot_nodes, g_nodes):
         self.params = params
         self.spec = spec
         self.grid = grid
         self.t_max = float(grid[-1])
-        self.tol = tol
         self._nodes = (x_nodes, xdot_nodes, g_nodes)
 
     def _clamp(self, t: float) -> float:
@@ -111,7 +110,7 @@ class CanonicalFrame:
         """
         t = self._clamp(t)
         params, spec = self.params, self.spec
-        z = _duhamel(params, spec, 0.0, t, min(self.tol, 1e-12))
+        z = _duhamel(params, spec, 0.0, t, 1e-12)
         s_prev, z_prev = 0.0, np.zeros(2)  # last node s' and z_nh(s')
 
         def integrand(s):
@@ -176,11 +175,11 @@ class CanonicalFrame:
 
 
 def build_frame(params: OscillatorParams, spec: ForcingSpec, t_max: float,
-                grid_points: int = 1025, tol: float = 1e-10) -> CanonicalFrame:
+                grid_points: int = 1025) -> CanonicalFrame:
     """Construct the frame by one response walk across the whole grid.
 
     ``grid_points`` sets only where the walk keeps its state (and so how
-    far a read has to walk); ``tol`` is kept for ``exact_values``.
+    far a read has to walk).
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
@@ -189,4 +188,4 @@ def build_frame(params: OscillatorParams, spec: ForcingSpec, t_max: float,
 
     grid = np.linspace(0.0, t_max, grid_points)
     x, p, j = _walk(params, spec, grid, 0.0, 0.0, 0.0)
-    return CanonicalFrame(params, spec, grid, x, p / params.m, 0.5 * (x * p + j), tol)
+    return CanonicalFrame(params, spec, grid, x, p / params.m, 0.5 * (x * p + j))

@@ -33,8 +33,8 @@ from .errors import DomainError, NumericError
 from .forcing import ForcingSpec
 from .quadrature import _KRONROD_NODES, _KRONROD_WEIGHTS, adaptive_gauss_kronrod
 
-# Most panels one walk may take (about 2 s), and panels per vectorized
-# block (a few MB of temporaries).
+# Most panels one walk may add to its stops and the kinks of k (about 2 s),
+# and panels per vectorized block (a few MB of temporaries).
 _PANEL_BUDGET = 200_000
 _CHUNK = 2048
 
@@ -116,26 +116,30 @@ def _walk(params: OscillatorParams, spec: ForcingSpec, stops: np.ndarray,
     """(x, p, J) of the response at ascending ``stops``, from (x0, p0, j0)
     at stops[0], where p = m xdot and J(t) = integral_0^t x k ds.
 
-    Panel edges are the stops, the kinks of k and splits to ``_panel_len``.
-    On a panel [a, b] the state is z(u) = U(u - a) (z(a) + c(u)) with
-    c(u) = integral_a^u U(a - s) (0, k(s)) ds: the 15-point Kronrod rule
-    gives c(b) and the spectral matrix gives c at the interior nodes, where
-    x feeds the rule for J.  k is smooth on each panel, so all of it is
-    exact to rounding.  A state that leaves the floats raises NumericError.
+    Panel edges are the stops, the kinks of k and splits to ``_panel_len``;
+    a span where k vanishes is one panel.  On a panel [a, b] the state is
+    z(u) = U(u - a) (z(a) + c(u)) with c(u) = integral_a^u U(a - s) (0, k(s)) ds:
+    the 15-point Kronrod rule gives c(b) and the spectral matrix gives c at
+    the interior nodes, where x feeds the rule for J.  k is smooth on each
+    panel, so all of it is exact to rounding.  More than ``_PANEL_BUDGET``
+    splits, or a state that leaves the floats, raises NumericError.
     """
     m, w = params.m, params.omega
     pts = np.union1d(stops, spec.breakpoints(float(stops[0]), float(stops[-1])))
     lengths = np.diff(pts)
+    quiet = np.array([spec.vanishes(a, b) for a, b in zip(pts[:-1], pts[1:])], dtype=bool)
     with np.errstate(over="ignore"):  # an overflow is an infinite count
         counts = np.maximum(np.ceil(lengths / _panel_len(params, spec)), 1.0)
-    total = float(np.sum(counts))
-    if not total <= _PANEL_BUDGET:
-        raise NumericError(f"response walk over [{pts[0]}, {pts[-1]}] needs {total:.3g} "
-                           f"panels, over the budget of {_PANEL_BUDGET}")
+    counts[quiet] = 1.0
+    splits = float(np.sum(counts)) - len(counts)
+    if not splits <= _PANEL_BUDGET:
+        raise NumericError(f"response walk over [{pts[0]}, {pts[-1]}] needs {splits:.3g} "
+                           f"panel splits, over the budget of {_PANEL_BUDGET}")
     counts = counts.astype(int)
     seg = np.repeat(np.arange(len(lengths)), counts)
     step = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
     edges = np.append(pts[seg] + lengths[seg] * step / counts[seg], pts[-1])
+    live = ~quiet[seg]  # panels where k is evaluated
 
     xs, ps, js = (np.empty(len(edges)) for _ in range(3))
     xs[0], ps[0], js[0] = x0, p0, j0
@@ -145,7 +149,8 @@ def _walk(params: OscillatorParams, spec: ForcingSpec, stops: np.ndarray,
             a, b = edges[lo:hi], edges[lo + 1:hi + 1]
             half = 0.5 * (b - a)
             u = (a + half)[:, None] + half[:, None] * _KRONROD_NODES
-            k = np.array([spec.evaluate(s) for s in u.ravel()]).reshape(u.shape)
+            k, rows = np.zeros(u.shape), live[lo:hi]
+            k[rows] = np.reshape([spec.evaluate(s) for s in u[rows].ravel()], (-1, u.shape[1]))
             tau = a[:, None] - u
             cos_tau, sin_tau = np.cos(w * tau), _sin_over_omega(w, tau)
             fx, fp = sin_tau / m * k, cos_tau * k  # U(a - u) (0, k(u))

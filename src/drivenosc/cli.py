@@ -76,8 +76,7 @@ def cmd_classical(scn: Scenario, out_dir: Path) -> list[Path]:
 
 
 def _scenario_frame(scn: Scenario):
-    return build_frame(scn.params, scn.forcing, scn.t_max,
-                       grid_points=scn.frame_points, tol=scn.tol)
+    return build_frame(scn.params, scn.forcing, scn.t_max, grid_points=scn.frame_points)
 
 
 def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
@@ -172,12 +171,10 @@ def cmd_verify(scn: Scenario, out_dir: Path, suite: str) -> tuple[list[Path], bo
 
 
 def _run_one(command: str, scenario_path: str, out_override: str | None,
-             tol: float | None, suite: str, subdir: bool) -> tuple[int, str]:
+             suite: str, subdir: bool) -> tuple[int, str]:
     """Load, run, and report one scenario; returns (exit_code, message)."""
     try:
         scn = Scenario.from_file(scenario_path)
-        if tol is not None:
-            scn = scn.with_tol(tol)
         out_dir = Path(out_override or scn.output or ".")
         if subdir:
             out_dir = out_dir / Path(scenario_path).stem
@@ -222,9 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--jobs", type=int, default=1,
                        help="run multiple scenarios in parallel")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the scenario tol, the tolerance of verify's "
-                            "quadrature oracle; no other result depends on it")
         if name == "verify":
             p.add_argument("--suite", choices=SUITES, default="all")
     return parser
@@ -241,12 +235,11 @@ def main(argv=None) -> int:
 
     jobs = max(1, min(args.jobs, len(scenarios), os.cpu_count() or 1))
     if jobs == 1:
-        outcomes = [_run_one(args.command, s, args.out, args.tol, suite, subdir)
+        outcomes = [_run_one(args.command, s, args.out, suite, subdir)
                     for s in scenarios]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_one, args.command, s, args.out,
-                                   args.tol, suite, subdir)
+            futures = [pool.submit(_run_one, args.command, s, args.out, suite, subdir)
                        for s in scenarios]
             outcomes = [f.result() for f in futures]
 

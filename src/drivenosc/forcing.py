@@ -3,7 +3,8 @@
 A force profile is one of five variants: zero, constant, sinusoid, a
 rectangular pulse, or a tabulated series with linear interpolation.  Each
 is smooth except at the finitely many kinks listed by ``breakpoints``
-(pulse edges, table knots), where the integration routines split.
+(pulse edges, table knots), where the integration routines split;
+``vanishes`` tells where k is zero, which the response walk steps over.
 
 All specs are frozen dataclasses: immutable, hashable, safe to share
 between threads, and serializable to a small JSON object.
@@ -39,6 +40,13 @@ class ForcingSpec:
         """
         return ()
 
+    def vanishes(self, t0: float, t1: float) -> bool:
+        """True if k is known to be zero on all of (t0, t1).
+
+        The response walk crosses such a span in one exact propagator step.
+        """
+        return False
+
     def oscillation_rate(self) -> float:
         """Fastest angular rate in k(t); 0 for non-oscillatory profiles.
 
@@ -55,6 +63,9 @@ class ZeroForcing(ForcingSpec):
     def _value(self, t):
         return 0.0
 
+    def vanishes(self, t0, t1):
+        return True
+
     def to_dict(self):
         return {"type": "zero"}
 
@@ -65,6 +76,9 @@ class ConstantForcing(ForcingSpec):
 
     def _value(self, t):
         return self.K
+
+    def vanishes(self, t0, t1):
+        return self.K == 0.0
 
     def to_dict(self):
         return {"type": "constant", "K": self.K}
@@ -80,6 +94,9 @@ class SinusoidForcing(ForcingSpec):
 
     def _value(self, t):
         return self.A * math.cos(self.Omega * t + self.phi)
+
+    def vanishes(self, t0, t1):
+        return self.A == 0.0
 
     def oscillation_rate(self):
         return abs(self.Omega)
@@ -105,6 +122,9 @@ class PulseForcing(ForcingSpec):
 
     def breakpoints(self, t0, t1):
         return tuple(p for p in (self.t_on, self.t_off) if t0 < p < t1)
+
+    def vanishes(self, t0, t1):
+        return self.K == 0.0 or t1 <= self.t_on or t0 >= self.t_off
 
     def to_dict(self):
         return {"type": "pulse", "K": self.K, "t_on": self.t_on, "t_off": self.t_off}
@@ -147,6 +167,9 @@ class TabulatedForcing(ForcingSpec):
     def breakpoints(self, t0, t1):
         times = self._times
         return tuple(times[bisect_right(times, t0):bisect_left(times, t1)])
+
+    def vanishes(self, t0, t1):
+        return t1 <= self._times[0] or t0 >= self._times[-1]
 
     def to_dict(self):
         return {"type": "tabulated", "samples": [[t, k] for t, k in self.samples]}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 import jsonschema
@@ -58,16 +58,12 @@ class Scenario:
     tail_tol: float = 1e-9
     grid: GridSpec | None = None
     frame_points: int = 1025
-    tol: float = 1e-10  # verify's quadrature oracle only; no other result depends on it
     output: str | None = None
 
     def resolved_grid(self, dt: float = 1e-3) -> GridSpec:
         if self.grid is not None:
             return self.grid
         return GridSpec.default(self.params, dt=dt)
-
-    def with_tol(self, tol: float) -> "Scenario":
-        return replace(self, tol=tol)
 
     @classmethod
     def default(cls) -> "Scenario":
@@ -104,7 +100,6 @@ class Scenario:
             tail_tol=quantum.get("tail_tol", 1e-9),
             grid=grid,
             frame_points=data.get("frame_points", 1025),
-            tol=data.get("tol", 1e-10),
             output=data.get("output"),
         )
 
@@ -128,7 +123,6 @@ class Scenario:
             "quantum": {"n_initial": self.n_initial, "m_max": self.m_max,
                         "tail_tol": self.tail_tol},
             "frame_points": self.frame_points,
-            "tol": self.tol,
         }
         if self.grid is not None:
             data["grid"] = {"x_min": self.grid.x_min, "x_max": self.grid.x_max,

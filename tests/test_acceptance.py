@@ -140,7 +140,7 @@ def test_05_canonical_identities_both_masses():
     worst = 0.0
     for m in (1.0, 2.0):
         params = OscillatorParams(m, 1.2)
-        frame = build_frame(params, spec, t_max, grid_points=1025, tol=1e-12)
+        frame = build_frame(params, spec, t_max, grid_points=1025)
         rng = np.random.default_rng(1005)
         w = params.omega
         for _ in range(40):
@@ -221,7 +221,7 @@ def _random_frames(seed, count=3, t_max=2.5):
         params = OscillatorParams(float(rng.uniform(0.7, 2.0)), float(rng.uniform(0.6, 1.8)))
         spec = SinusoidForcing(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.5, 3.0)),
                                float(rng.uniform(0, 2 * math.pi)))
-        frames.append(build_frame(params, spec, t_max, grid_points=513, tol=1e-12))
+        frames.append(build_frame(params, spec, t_max, grid_points=513))
     return frames, rng
 
 
@@ -255,7 +255,7 @@ def test_09_ground_row_poisson_law():
 def test_10_ground_state_survival_closed_and_pde():
     params = OscillatorParams(1.0, 1.0)
     frame = build_frame(params, ConstantForcing(1.0), math.pi,
-                        grid_points=1025, tol=1e-12)
+                        grid_points=1025)
     closed = ground_state_survival(frame, math.pi)
     report(10, "survival closed form at half period", abs(closed - math.exp(-2.0)), 1e-9)
 
@@ -296,7 +296,7 @@ def test_11_evolution_covariance_and_convergence():
         else:
             spec = ConstantForcing(float(rng.uniform(-1.2, 1.2)))
         t_final = float(rng.uniform(1.0, 2 * math.pi))
-        frame = build_frame(params, spec, t_final, grid_points=1025, tol=1e-12)
+        frame = build_frame(params, spec, t_final, grid_points=1025)
         d1 = _se3_defect(params, spec, t_final, 1e-3, frame, seed=2000 + i)
         d2 = _se3_defect(params, spec, t_final, 5e-4, frame, seed=2000 + i)
         worst_defect = max(worst_defect, d1)
@@ -311,7 +311,7 @@ def test_12_operator_covariance():
     params = OscillatorParams(1.0, 1.0)
     spec = SinusoidForcing(1.0, 2.0, 0.0)
     t_max = 3.0
-    frame = build_frame(params, spec, t_max, grid_points=1025, tol=1e-12)
+    frame = build_frame(params, spec, t_max, grid_points=1025)
     grid = GridSpec.default(params)
     rng = np.random.default_rng(1012)
     x, k = grid.x, grid.wavenumbers

@@ -137,6 +137,12 @@ class TestEvolve:
         with pytest.raises(DomainError):
             evolve(OscillatorParams(1, 1), PhaseState(0, 0), ZeroForcing(), -1.0)
 
+    def test_unforced_flow_at_long_times(self):
+        # a zero force is one exact propagator step, however many periods
+        params, z0, t = OscillatorParams(1.3, 2.0), PhaseState(0.4, -0.7), 1e7
+        z = evolve(params, z0, ZeroForcing(), t)
+        assert (z.x, z.p) == tuple(propagator(params, t) @ z0.as_array())
+
 
 class TestNonhomogeneous:
     def test_zero_forcing(self):

@@ -15,8 +15,8 @@ from drivenosc import (
     PhaseState,
     SinusoidForcing,
     TabulatedForcing,
-    evolve,
     ground_state_survival,
+    propagator,
 )
 from drivenosc import cli
 from drivenosc.canonical import CanonicalFrame, build_frame
@@ -54,7 +54,6 @@ class TestScenario:
         assert scn.initial_state == PhaseState(0.0, 0.0)
         assert scn.n_initial == 0
         assert scn.tail_tol == 1e-9
-        assert scn.tol == 1e-10
 
     def test_round_trip(self):
         scn = Scenario.default()
@@ -120,11 +119,12 @@ class TestClassicalCommand:
         assert main(["classical", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "trajectory.csv")
         params = OscillatorParams(1.0, 1.0)
-        spec = SinusoidForcing(1.0, 2.0, 0.1)
+        oracle = build_frame(params, SinusoidForcing(1.0, 2.0, 0.1), math.pi, grid_points=2)
         for t, x, p, *_ in rows[::5]:
-            z = evolve(params, PhaseState(0.3, -0.2), spec, t)
-            assert x == pytest.approx(z.x, abs=1e-12)
-            assert p == pytest.approx(z.p, abs=1e-12)
+            x_nh, v_nh, _ = oracle.exact_values(t)  # adaptive quadrature, not the walk
+            z = propagator(params, t) @ np.array([0.3, -0.2])
+            assert x == pytest.approx(z[0] + x_nh, abs=1e-12)
+            assert p == pytest.approx(z[1] + params.m * v_nh, abs=1e-12)
 
     def test_slow_oscillator_traces_wide_ellipse(self, tmp_path):
         w = 2 * math.pi / 100
@@ -196,6 +196,30 @@ class TestTransitionsCommand:
             assert csv_rows[csv_rows[:, 0] == t, 3].sum() < 1.0 + 1e-10
 
 
+class TestSilentDrive:
+    def test_zero_drive_over_many_periods(self, tmp_path):
+        scn = write_scenario(tmp_path, forcing={"type": "zero"},
+                             time={"t_max": 6e4, "samples": 11})
+        assert main(["classical", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "trajectory.csv")
+        assert np.all(rows[:, 3:5] == 0.0)
+
+    def test_pulse_tail_over_many_periods(self, tmp_path):
+        scn = write_scenario(tmp_path, forcing={"type": "pulse", "K": 1.0, "t_on": 1.0,
+                                                "t_off": 3.0},
+                             time={"t_max": 6e4, "samples": 11})
+        assert main(["classical", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "trajectory.csv")
+        t = rows[1:, 0]  # after the pulse: the free image of its kick (m = omega = 1)
+        np.testing.assert_allclose(rows[1:, 3], np.cos(t - 3.0) - np.cos(t - 1.0), atol=1e-9)
+        np.testing.assert_allclose(rows[1:, 4], np.sin(t - 1.0) - np.sin(t - 3.0), atol=1e-9)
+
+    def test_frame_points_do_not_count_against_the_panel_budget(self, tmp_path):
+        scn = write_scenario(tmp_path, forcing={"type": "zero"}, frame_points=200_002,
+                             time={"t_max": 1.0, "samples": 3})
+        assert main(["classical", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+
+
 class TestOverflowingDrive:
     @pytest.mark.parametrize("command", ["classical", "transitions", "survival"])
     def test_overflowing_response_is_a_numeric_failure(self, tmp_path, capsys, command):
@@ -225,7 +249,7 @@ class TestSurvivalCommand:
         header, rows = read_csv(tmp_path / "survival.csv")
         assert header == ["t", "lambda", "survival"]
         frame = build_frame(OscillatorParams(1.0, 1.0), ConstantForcing(1.0),
-                            math.pi, grid_points=1025, tol=1e-10)
+                            math.pi, grid_points=1025)
         for t, lam, surv in rows[::4]:
             assert surv == pytest.approx(ground_state_survival(frame, t), abs=1e-12)
             assert surv == pytest.approx(math.exp(-lam), abs=1e-12)

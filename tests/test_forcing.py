@@ -64,6 +64,28 @@ class TestEvaluate:
             assert spec.evaluate(t) == spec.evaluate(t)
 
 
+class TestVanishes:
+    @pytest.mark.parametrize("spec, t0, t1, expected", [
+        (ZeroForcing(), 0.0, 1e9, True),
+        (ConstantForcing(K=0.0), 0.0, 5.0, True),
+        (ConstantForcing(K=2.0), 0.0, 5.0, False),
+        (SinusoidForcing(A=0.0, Omega=3.0), 0.0, 5.0, True),
+        (SinusoidForcing(A=1.0, Omega=3.0), 0.0, 5.0, False),
+        (PulseForcing(K=1.5, t_on=0.5, t_off=2.0), 0.0, 0.5, True),
+        (PulseForcing(K=1.5, t_on=0.5, t_off=2.0), 2.0, 9.0, True),
+        (PulseForcing(K=1.5, t_on=0.5, t_off=2.0), 0.0, 0.6, False),
+        (PulseForcing(K=1.5, t_on=0.5, t_off=2.0), 1.9, 9.0, False),
+        (TabulatedForcing(samples=((1.0, 2.0), (2.5, -1.0))), 0.0, 1.0, True),
+        (TabulatedForcing(samples=((1.0, 2.0), (2.5, -1.0))), 2.5, 7.0, True),
+        (TabulatedForcing(samples=((1.0, 2.0), (2.5, -1.0))), 0.0, 1.1, False),
+    ])
+    def test_only_where_the_force_is_zero(self, spec, t0, t1, expected):
+        assert spec.vanishes(t0, t1) is expected
+        if expected:  # spot-check the claim on the open interval
+            for u in (0.25, 0.5, 0.75):
+                assert spec.evaluate(t0 + u * (t1 - t0)) == 0.0
+
+
 class TestValidation:
     def test_pulse_needs_ordered_window(self):
         with pytest.raises(DomainError):

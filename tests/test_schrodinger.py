@@ -237,7 +237,7 @@ class TestFrameMaps:
         # vanishes with the factor and is O(1) without it
         params = OscillatorParams(2.0, 1.0)
         grid = GridSpec.default(params)
-        fr = build_frame(params, ConstantForcing(1.0), 3.0, grid_points=513, tol=1e-12)
+        fr = build_frame(params, ConstantForcing(1.0), 3.0, grid_points=513)
         rng = np.random.default_rng(47)
         k = grid.wavenumbers
         t = 2.0
@@ -257,7 +257,7 @@ class TestEvolutionCovariance:
     def test_moving_frame_image_of_driven_evolution(self, params11, default_grid):
         spec = SinusoidForcing(0.9, 1.7, 0.3)
         t = 2.0
-        fr = build_frame(params11, spec, t, grid_points=1025, tol=1e-12)
+        fr = build_frame(params11, spec, t, grid_points=1025)
         rng = np.random.default_rng(45)
         psi0 = random_state(params11, default_grid, rng, n_modes=5)
         via = lab_to_moving(fr, evolve_lab(params11, spec, psi0, t), t)
@@ -267,7 +267,7 @@ class TestEvolutionCovariance:
     def test_lab_frame_image_of_unforced_evolution(self, params11, default_grid):
         spec = ConstantForcing(1.0)
         t = 2.5
-        fr = build_frame(params11, spec, t, grid_points=1025, tol=1e-12)
+        fr = build_frame(params11, spec, t, grid_points=1025)
         rng = np.random.default_rng(46)
         psi0 = random_state(params11, default_grid, rng, n_modes=5)
         via = moving_to_lab(fr, evolve_moving(params11, psi0, t), t)

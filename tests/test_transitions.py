@@ -40,7 +40,7 @@ def laguerre_magnitude(n, m, d):
 class TestDisplacementParams:
     def test_from_frame_scaling(self):
         params = OscillatorParams(2.0, 3.0)
-        fr = build_frame(params, ConstantForcing(1.0), 2.0, grid_points=257, tol=1e-12)
+        fr = build_frame(params, ConstantForcing(1.0), 2.0, grid_points=257)
         t = 1.2
         d = DisplacementParams.from_frame(fr, t)
         assert d.a == pytest.approx(math.sqrt(6.0) * fr.x_nh(t), abs=1e-12)
@@ -178,7 +178,7 @@ class TestProbabilityRow:
 
     def test_row_limit_overflow_raises(self, params11):
         frame = build_frame(params11, ConstantForcing(30.0), math.pi,
-                            grid_points=257, tol=1e-10)
+                            grid_points=257)
         # x_nh(pi) = 60 -> lambda = 1800: cannot converge within m <= 500
         with pytest.raises(NumericError) as exc:
             probability_row(0, frame, math.pi, tail_tol=1e-9)
