@@ -20,13 +20,15 @@ pointwise.  The same data feeds the quantum shift-plus-phase maps in
     phase_to_lab(x, t)     = (x - x_nh) m xdot_nh + G(t)
     phase_to_moving(xi, t) = -(xi + x_nh) m xdot_nh + G(t).
 
-A frame stores (x_nh, xdot_nh, G) at ``grid_points`` uniform nodes.  There
-is no spline: a read at any t resumes the response walk from the node at
-or before t (see ``classical._walk``), so every read is exact to rounding and
-``grid_points`` (the scenario's ``frame_points``) sets only the cost split
-between building and reading.  The walk gets G from the identity
+A frame keeps the state of one response walk over [0, t_max] (see
+``classical._walk``) at every panel edge: the kinks of k and the splits
+that resolve the fastest of w and the drive.  There is no spline: a read
+at any t resumes the walk from the edge at or before t, which is at most
+one panel, so every read is exact to rounding.  The walk carries
+(x_nh, p_nh, J) with J(t) = integral_0^t x_nh k ds, and G comes from
+the identity
 
-    G(t) = x_nh p_nh / 2 + (1/2) integral_0^t x_nh k ds,   p_nh = m xdot_nh,
+    G(t) = x_nh p_nh / 2 + J(t) / 2,   p_nh = m xdot_nh,
 
 which follows from the equation of motion (derived in NOTES.md).  The
 walk itself lives in :mod:`drivenosc.classical`; this module keeps the
@@ -39,7 +41,6 @@ Frames are immutable once built and safe to evaluate concurrently.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -59,12 +60,12 @@ def _lagrangian(params: OscillatorParams, spec: ForcingSpec, x: float,
 class CanonicalFrame:
     """Frame data (x_nh, xdot_nh, G) over [0, t_max]; see module docstring."""
 
-    def __init__(self, params, spec, grid, x_nodes, xdot_nodes, g_nodes):
+    def __init__(self, params, spec, edges, xs, ps, js):
         self.params = params
         self.spec = spec
-        self.grid = grid
-        self.t_max = float(grid[-1])
-        self._nodes = (x_nodes, xdot_nodes, g_nodes)
+        self.t_max = float(edges[-1])
+        self._edges = edges
+        self._states = (xs, ps, js)
 
     def _clamp(self, t: float) -> float:
         slack = 1e-12 * max(1.0, self.t_max)
@@ -73,16 +74,14 @@ class CanonicalFrame:
         return min(max(t, 0.0), self.t_max)
 
     def _read(self, t: float) -> tuple[float, float, float]:
-        """(x_nh, xdot_nh, G) at t, walked on from the node at or before t."""
+        """(x_nh, xdot_nh, G) at t, walked on from the edge at or before t."""
         t = self._clamp(t)
-        j = int(np.searchsorted(self.grid, t, side="right")) - 1
-        x, xdot, g = (float(a[j]) for a in self._nodes)
-        if t == self.grid[j]:
-            return x, xdot, g
-        m = self.params.m
-        xs, ps, js = _walk(self.params, self.spec, np.array([self.grid[j], t]),
-                           x, m * xdot, 2.0 * g - m * x * xdot)
-        return float(xs[1]), float(ps[1] / m), float(0.5 * (xs[1] * ps[1] + js[1]))
+        i = int(np.searchsorted(self._edges, t, side="right")) - 1
+        x, p, j = (float(a[i]) for a in self._states)
+        if t != self._edges[i]:
+            _, xs, ps, js = _walk(self.params, self.spec, float(self._edges[i]), t, x, p, j)
+            x, p, j = float(xs[-1]), float(ps[-1]), float(js[-1])
+        return x, p / self.params.m, 0.5 * (x * p + j)
 
     # -- frame data ---------------------------------------------------------
 
@@ -162,30 +161,10 @@ class CanonicalFrame:
         xc, vc, _ = self.values(t)
         return PhaseState(z.x + xc, z.p + self.params.m * vc)
 
-    # -- export ---------------------------------------------------------------
 
-    def write_csv(self, path) -> None:
-        """Dump the node values as rows t,x_nh,xdot_nh,G."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x_nh", "xdot_nh", "G"])
-            for t in self.grid:
-                x, v, g = self.values(float(t))
-                writer.writerow([f"{t:.17g}", f"{x:.17g}", f"{v:.17g}", f"{g:.17g}"])
-
-
-def build_frame(params: OscillatorParams, spec: ForcingSpec, t_max: float,
-                grid_points: int = 1025) -> CanonicalFrame:
-    """Construct the frame by one response walk across the whole grid.
-
-    ``grid_points`` sets only where the walk keeps its state (and so how
-    far a read has to walk).
-    """
+def build_frame(params: OscillatorParams, spec: ForcingSpec, t_max: float) -> CanonicalFrame:
+    """Construct the frame by one response walk over [0, t_max], keeping
+    the state at every panel edge."""
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
-    if grid_points < 2:
-        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
-
-    grid = np.linspace(0.0, t_max, grid_points)
-    x, p, j = _walk(params, spec, grid, 0.0, 0.0, 0.0)
-    return CanonicalFrame(params, spec, grid, x, p / params.m, 0.5 * (x * p + j))
+    return CanonicalFrame(params, spec, *_walk(params, spec, 0.0, t_max, 0.0, 0.0, 0.0))

@@ -111,12 +111,12 @@ def _panel_len(params: OscillatorParams, spec: ForcingSpec) -> float:
     return 0.25 / rate if rate > 0.0 else math.inf
 
 
-def _walk(params: OscillatorParams, spec: ForcingSpec, stops: np.ndarray,
+def _walk(params: OscillatorParams, spec: ForcingSpec, t0: float, t1: float,
           x0: float, p0: float, j0: float):
-    """(x, p, J) of the response at ascending ``stops``, from (x0, p0, j0)
-    at stops[0], where p = m xdot and J(t) = integral_0^t x k ds.
+    """Panel edges of [t0, t1] and (x, p, J) of the response at each, from
+    (x0, p0, j0) at t0, where p = m xdot and J(t) = integral_0^t x k ds.
 
-    Panel edges are the stops, the kinks of k and splits to ``_panel_len``;
+    Panel edges are t0, t1, the kinks of k and splits to ``_panel_len``;
     a span where k vanishes is one panel.  On a panel [a, b] the state is
     z(u) = U(u - a) (z(a) + c(u)) with c(u) = integral_a^u U(a - s) (0, k(s)) ds:
     the 15-point Kronrod rule gives c(b) and the spectral matrix gives c at
@@ -125,7 +125,7 @@ def _walk(params: OscillatorParams, spec: ForcingSpec, stops: np.ndarray,
     splits, or a state that leaves the floats, raises NumericError.
     """
     m, w = params.m, params.omega
-    pts = np.union1d(stops, spec.breakpoints(float(stops[0]), float(stops[-1])))
+    pts = np.union1d([t0, t1], spec.breakpoints(t0, t1))
     lengths = np.diff(pts)
     quiet = np.array([spec.vanishes(a, b) for a, b in zip(pts[:-1], pts[1:])], dtype=bool)
     with np.errstate(over="ignore"):  # an overflow is an infinite count
@@ -172,8 +172,7 @@ def _walk(params: OscillatorParams, spec: ForcingSpec, stops: np.ndarray,
                 finite = np.isfinite(xs[block]) & np.isfinite(ps[block]) & np.isfinite(js[block])
                 raise NumericError(f"response walk over [{pts[0]}, {pts[-1]}] left the "
                                    f"floating-point range at t = {edges[block][~finite][0]:.6g}")
-    at = np.searchsorted(edges, stops)
-    return xs[at], ps[at], js[at]
+    return edges, xs, ps, js
 
 
 def nonhomogeneous(params: OscillatorParams, spec: ForcingSpec, t: float) -> PhaseState:
@@ -181,7 +180,7 @@ def nonhomogeneous(params: OscillatorParams, spec: ForcingSpec, t: float) -> Pha
     moving frame's center."""
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"the response needs finite t >= 0, got {t!r}")
-    xs, ps, _ = _walk(params, spec, np.array([0.0, t]), 0.0, 0.0, 0.0)
+    _, xs, ps, _ = _walk(params, spec, 0.0, t, 0.0, 0.0, 0.0)
     return PhaseState(float(xs[-1]), float(ps[-1]))
 
 

@@ -26,13 +26,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import classical, schrodinger, transitions
 from .canonical import build_frame
 from .errors import DomainError, NumericError
-from .scenario import REPORT_SCHEMA, Scenario
+from .scenario import REPORT_VALIDATOR, Scenario, validate
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -76,7 +75,7 @@ def cmd_classical(scn: Scenario, out_dir: Path) -> list[Path]:
 
 
 def _scenario_frame(scn: Scenario):
-    return build_frame(scn.params, scn.forcing, scn.t_max, grid_points=scn.frame_points)
+    return build_frame(scn.params, scn.forcing, scn.t_max)
 
 
 def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
@@ -159,7 +158,7 @@ def cmd_verify(scn: Scenario, out_dir: Path, suite: str) -> tuple[list[Path], bo
         "all_pass": all(r.status == "pass" for r in results),
         "checks": [r.to_dict() for r in results],
     }
-    jsonschema.validate(report, REPORT_SCHEMA)
+    validate(REPORT_VALIDATOR, report)
     path = out_dir / "report.json"
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

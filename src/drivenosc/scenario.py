@@ -40,8 +40,24 @@ def _check_finite(value, where: str = "scenario") -> None:
         raise DomainError(f"{where} is the non-finite number {value!r}")
 
 
+def _validator(schema: dict):
+    """A validator for ``schema``, checked against its metaschema once."""
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate(validator, data) -> None:
+    """Raise the ValidationError that ``jsonschema.validate`` would raise."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(data))
+    if error is not None:
+        raise error
+
+
 SCENARIO_SCHEMA = _load_schema("scenario.schema.json")
 REPORT_SCHEMA = _load_schema("report.schema.json")
+SCENARIO_VALIDATOR = _validator(SCENARIO_SCHEMA)
+REPORT_VALIDATOR = _validator(REPORT_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -57,7 +73,6 @@ class Scenario:
     m_max: int = 16
     tail_tol: float = 1e-9
     grid: GridSpec | None = None
-    frame_points: int = 1025
     output: str | None = None
 
     def resolved_grid(self, dt: float = 1e-3) -> GridSpec:
@@ -78,7 +93,7 @@ class Scenario:
     def from_dict(cls, data: dict) -> "Scenario":
         _check_finite(data)
         try:
-            jsonschema.validate(data, SCENARIO_SCHEMA)
+            validate(SCENARIO_VALIDATOR, data)
         except jsonschema.ValidationError as exc:
             raise DomainError(f"scenario config invalid: {exc.message}") from exc
         params = OscillatorParams(m=data["params"]["m"], omega=data["params"]["omega"])
@@ -99,7 +114,6 @@ class Scenario:
             m_max=quantum.get("m_max", 16),
             tail_tol=quantum.get("tail_tol", 1e-9),
             grid=grid,
-            frame_points=data.get("frame_points", 1025),
             output=data.get("output"),
         )
 
@@ -122,7 +136,6 @@ class Scenario:
             "initial_state": {"x": self.initial_state.x, "p": self.initial_state.p},
             "quantum": {"n_initial": self.n_initial, "m_max": self.m_max,
                         "tail_tol": self.tail_tol},
-            "frame_points": self.frame_points,
         }
         if self.grid is not None:
             data["grid"] = {"x_min": self.grid.x_min, "x_max": self.grid.x_max,

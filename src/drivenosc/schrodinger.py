@@ -168,12 +168,9 @@ def _require_normalized(psi: WaveFunction, context: str) -> None:
 
 
 def evolve_lab(params: OscillatorParams, spec: ForcingSpec, psi0: WaveFunction,
-               t_final: float, grid: GridSpec | None = None,
-               t0: float = 0.0) -> WaveFunction:
+               t_final: float, t0: float = 0.0) -> WaveFunction:
     """Driven evolution under -(1/2m) d^2/dx^2 + m w^2 x^2/2 - x k(t),
     from t0 to t_final, by split-operator stepping of psi0.grid.dt."""
-    if grid is not None and grid != psi0.grid:
-        raise DomainError("grid argument must match the state's grid")
     grid = psi0.grid
     if not (math.isfinite(t_final) and t_final >= t0):
         raise DomainError(f"need t0 <= t_final, got [{t0}, {t_final}]")
@@ -224,9 +221,9 @@ def evolve_lab(params: OscillatorParams, spec: ForcingSpec, psi0: WaveFunction,
 
 
 def evolve_moving(params: OscillatorParams, phi0: WaveFunction, t_final: float,
-                  grid: GridSpec | None = None, t0: float = 0.0) -> WaveFunction:
+                  t0: float = 0.0) -> WaveFunction:
     """Unforced evolution (the moving-frame Hamiltonian)."""
-    return evolve_lab(params, ZeroForcing(), phi0, t_final, grid=grid, t0=t0)
+    return evolve_lab(params, ZeroForcing(), phi0, t_final, t0=t0)
 
 
 def moving_to_lab(frame: CanonicalFrame, phi: WaveFunction, t: float) -> WaveFunction:

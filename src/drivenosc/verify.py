@@ -49,9 +49,7 @@ class _Context:
     @property
     def frame(self):
         if self._frame is None:
-            self._frame = canonical.build_frame(
-                self.params, self.spec, self.scenario.t_max,
-                grid_points=self.scenario.frame_points)
+            self._frame = canonical.build_frame(self.params, self.spec, self.scenario.t_max)
         return self._frame
 
     @property
@@ -207,8 +205,7 @@ def _transformation_law_error(ctx, params) -> float:
     if params == ctx.params:
         frame = ctx.frame
     else:
-        frame = canonical.build_frame(params, spec, scn.t_max,
-                                      grid_points=scn.frame_points)
+        frame = canonical.build_frame(params, spec, scn.t_max)
     rng = np.random.default_rng(203)
     m, w = params.m, params.omega
     worst = 0.0

@@ -15,8 +15,7 @@ def params11():
 def const_frame_pi(params11):
     """Frame for m=1, w=1, constant K=1 over [0, pi]; x_nh = 1 - cos t,
     xdot_nh = sin t, G = t/2 - sin(2t)/4.  Shared: frames are immutable."""
-    return build_frame(params11, ConstantForcing(1.0), math.pi,
-                       grid_points=1025)
+    return build_frame(params11, ConstantForcing(1.0), math.pi)
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,8 @@ from drivenosc import (
     propagator,
 )
 from drivenosc.canonical import build_frame
+from drivenosc.classical import _panel_len
+from drivenosc.scenario import Scenario
 
 
 def fd_step(t):
@@ -26,7 +28,7 @@ def fd_step(t):
 
 class TestFrameData:
     def test_zero_forcing_frame_is_trivial(self, params11):
-        fr = build_frame(params11, ZeroForcing(), 2.0, grid_points=65)
+        fr = build_frame(params11, ZeroForcing(), 2.0)
         for t in (0.0, 0.7, 1.5, 2.0):
             assert fr.values(t) == (0.0, 0.0, 0.0)
 
@@ -43,8 +45,7 @@ class TestFrameData:
 
     def test_sinusoid_gauge_frozen_oracle_value(self, params11):
         # independent oracle: DOP853 response + QUADPACK action integral
-        fr = build_frame(params11, SinusoidForcing(1.0, 2.0, 0.0), 1.0,
-                         grid_points=513)
+        fr = build_frame(params11, SinusoidForcing(1.0, 2.0, 0.0), 1.0)
         assert fr.gauge(1.0) == pytest.approx(0.05839648352061505, abs=1e-10)
 
     def test_center_matches_classical_response(self, const_frame_pi, params11):
@@ -54,8 +55,7 @@ class TestFrameData:
             assert const_frame_pi.xdot_nh(t) == pytest.approx(z.p, abs=1e-11)
 
     def test_cache_matches_exact_evaluation(self, params11):
-        fr = build_frame(params11, SinusoidForcing(0.8, 1.7, 0.5), 3.0,
-                         grid_points=513)
+        fr = build_frame(params11, SinusoidForcing(0.8, 1.7, 0.5), 3.0)
         rng = np.random.default_rng(12)
         for t in rng.uniform(0.05, 2.95, 5):
             cached = fr.values(float(t))
@@ -67,7 +67,7 @@ class TestFrameData:
         # interpolating across it
         params = OscillatorParams(1.1, 0.9)
         spec = PulseForcing(K=1.0, t_on=2.0, t_off=17.3)
-        fr = build_frame(params, spec, 10 * math.pi, grid_points=1025)
+        fr = build_frame(params, spec, 10 * math.pi)
         for edge in (spec.t_on, spec.t_off):
             for t in (edge - 1e-3, edge + 1e-3):
                 x_ref, xdot_ref, _ = fr.exact_values(t)
@@ -76,11 +76,9 @@ class TestFrameData:
                 assert abs(xdot - xdot_ref) < 1e-10
 
     def test_reads_exact_between_coarse_nodes(self):
-        # node spacing h = 200/1024 with h * max(omega, Omega) > 1
         params = OscillatorParams(1.0, 2 * math.pi)
         spec = SinusoidForcing(1.0, 6.0, 0.3)
-        fr = build_frame(params, spec, 200.0, grid_points=1025)
-        assert fr.grid[1] * max(params.omega, spec.Omega) > 1.0
+        fr = build_frame(params, spec, 200.0)
         for t in (0.37, 3.05, 11.9):
             x_ref, xdot_ref, _ = fr.exact_values(t)
             x, xdot, _ = fr.values(t)
@@ -91,11 +89,23 @@ class TestFrameData:
         # 1001 knots 0.01 apart: the oracle carries the response from node to
         # node instead of integrating over every kink again at each node
         knots = [[0.01 * i, math.sin(0.37 * i)] for i in range(1001)]
-        fr = build_frame(params11, TabulatedForcing(knots), 10.0, grid_points=1025)
+        fr = build_frame(params11, TabulatedForcing(knots), 10.0)
         start = time.perf_counter()
         exact = fr.exact_values(2.345)
         assert time.perf_counter() - start < 10.0
         np.testing.assert_allclose(fr.values(2.345), exact, rtol=0.0, atol=1e-12)
+
+    def test_build_evaluates_the_drive_once_per_panel_node(self, monkeypatch):
+        # the nodes are the walk's own panel edges: 15 Kronrod nodes per
+        # panel the drive needs, and no extra panels for a node grid
+        scn = Scenario.default()
+        calls = []
+        evaluate = SinusoidForcing.evaluate
+        monkeypatch.setattr(SinusoidForcing, "evaluate",
+                            lambda self, t: calls.append(t) or evaluate(self, t))
+        build_frame(scn.params, scn.forcing, scn.t_max)
+        panels = math.ceil(scn.t_max / _panel_len(scn.params, scn.forcing))
+        assert 0 < len(calls) <= 15 * panels
 
     def test_out_of_range_rejected(self, const_frame_pi):
         with pytest.raises(DomainError):
@@ -106,8 +116,6 @@ class TestFrameData:
     def test_bad_build_arguments(self, params11):
         with pytest.raises(DomainError):
             build_frame(params11, ZeroForcing(), 0.0)
-        with pytest.raises(DomainError):
-            build_frame(params11, ZeroForcing(), 1.0, grid_points=1)
 
 
 class TestResiduals:
@@ -121,7 +129,7 @@ class TestResiduals:
     ])
     def test_newton_and_gauge_residuals(self, m, w, spec):
         params = OscillatorParams(m, w)
-        fr = build_frame(params, spec, 3.0, grid_points=1025)
+        fr = build_frame(params, spec, 3.0)
         rng = np.random.default_rng(13)
         for t in rng.uniform(0.05, 2.95, 25):
             t = float(t)
@@ -135,7 +143,7 @@ class TestResiduals:
 
     def test_pulse_residual_away_from_edges(self, params11):
         spec = PulseForcing(K=1.2, t_on=0.8, t_off=1.9)
-        fr = build_frame(params11, spec, 3.0, grid_points=1025)
+        fr = build_frame(params11, spec, 3.0)
         guard = 4 * 3.0 / 1024
         rng = np.random.default_rng(14)
         count = 0
@@ -152,7 +160,7 @@ class TestResiduals:
 
 class TestGeneratingFunctions:
     def test_zero_forcing_is_identity_generator(self, params11):
-        fr = build_frame(params11, ZeroForcing(), 2.0, grid_points=65)
+        fr = build_frame(params11, ZeroForcing(), 2.0)
         assert fr.f1(0.7, -0.3, 1.1) == pytest.approx(0.7 * -0.3, abs=1e-15)
         assert fr.phase_to_lab(0.5, 1.0) == 0.0
         assert fr.phase_to_moving(0.5, 1.0) == 0.0
@@ -193,7 +201,7 @@ class TestTransformationLaw:
     def test_k_equals_h_plus_df1dt(self, m):
         params = OscillatorParams(m, 1.1)
         spec = SinusoidForcing(0.9, 1.8, 0.2)
-        fr = build_frame(params, spec, 3.0, grid_points=1025)
+        fr = build_frame(params, spec, 3.0)
         rng = np.random.default_rng(15)
         w = params.omega
         for _ in range(30):
@@ -211,7 +219,7 @@ class TestTransformationLaw:
 
 class TestPointMaps:
     def test_zero_forcing_identity(self, params11):
-        fr = build_frame(params11, ZeroForcing(), 2.0, grid_points=65)
+        fr = build_frame(params11, ZeroForcing(), 2.0)
         z = PhaseState(0.4, -1.1)
         assert fr.to_moving(z, 1.0) == z
         assert fr.to_lab(z, 1.0) == z
@@ -234,7 +242,7 @@ class TestPointMaps:
     def test_frame_covariance_with_flow(self, params11):
         # moving-frame image of the driven flow is the unforced flow
         spec = SinusoidForcing(1.0, 2.0, 0.0)
-        fr = build_frame(params11, spec, 3.0, grid_points=513)
+        fr = build_frame(params11, spec, 3.0)
         z0 = PhaseState(0.6, -0.2)
         for t in (0.8, 1.7, 2.9):
             x_nh, v_nh, _ = fr.exact_values(t)  # the oracle, not the frame's own walk
@@ -244,12 +252,3 @@ class TestPointMaps:
             assert abs(lhs.x - rhs.x) < 1e-6
             assert abs(lhs.p - rhs.p) < 1e-6
 
-
-def test_csv_export(tmp_path, const_frame_pi):
-    path = tmp_path / "frame.csv"
-    const_frame_pi.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,x_nh,xdot_nh,G"
-    assert len(lines) == 1 + len(const_frame_pi.grid)
-    first = [float(v) for v in lines[1].split(",")]
-    assert first == [0.0, 0.0, 0.0, 0.0]

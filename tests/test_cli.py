@@ -119,7 +119,7 @@ class TestClassicalCommand:
         assert main(["classical", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
         _, rows = read_csv(tmp_path / "trajectory.csv")
         params = OscillatorParams(1.0, 1.0)
-        oracle = build_frame(params, SinusoidForcing(1.0, 2.0, 0.1), math.pi, grid_points=2)
+        oracle = build_frame(params, SinusoidForcing(1.0, 2.0, 0.1), math.pi)
         for t, x, p, *_ in rows[::5]:
             x_nh, v_nh, _ = oracle.exact_values(t)  # adaptive quadrature, not the walk
             z = propagator(params, t) @ np.array([0.3, -0.2])
@@ -215,9 +215,18 @@ class TestSilentDrive:
         np.testing.assert_allclose(rows[1:, 4], np.sin(t - 1.0) - np.sin(t - 3.0), atol=1e-9)
 
     def test_frame_points_do_not_count_against_the_panel_budget(self, tmp_path):
-        scn = write_scenario(tmp_path, forcing={"type": "zero"}, frame_points=200_002,
-                             time={"t_max": 1.0, "samples": 3})
-        assert main(["classical", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        # the key is ignored: the frame's nodes are the walk's own panel
+        # edges, so every count writes the same bytes
+        forcing = {"type": "sinusoid", "A": 1.0, "Omega": 2.0, "phi": 0.1}
+        for command in ("classical", "transitions", "survival"):
+            written = []
+            for points in (2, 1025, 200_002):
+                scn = write_scenario(tmp_path, forcing=forcing, frame_points=points,
+                                     time={"t_max": 1.0, "samples": 3})
+                out = tmp_path / f"{command}-{points}"
+                assert main([command, "--scenario", str(scn), "--out", str(out)]) == 0
+                written.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
+            assert written[0] == written[1] == written[2]
 
 
 class TestOverflowingDrive:
@@ -249,7 +258,7 @@ class TestSurvivalCommand:
         header, rows = read_csv(tmp_path / "survival.csv")
         assert header == ["t", "lambda", "survival"]
         frame = build_frame(OscillatorParams(1.0, 1.0), ConstantForcing(1.0),
-                            math.pi, grid_points=1025)
+                            math.pi)
         for t, lam, surv in rows[::4]:
             assert surv == pytest.approx(ground_state_survival(frame, t), abs=1e-12)
             assert surv == pytest.approx(math.exp(-lam), abs=1e-12)

@@ -40,7 +40,7 @@ def laguerre_magnitude(n, m, d):
 class TestDisplacementParams:
     def test_from_frame_scaling(self):
         params = OscillatorParams(2.0, 3.0)
-        fr = build_frame(params, ConstantForcing(1.0), 2.0, grid_points=257)
+        fr = build_frame(params, ConstantForcing(1.0), 2.0)
         t = 1.2
         d = DisplacementParams.from_frame(fr, t)
         assert d.a == pytest.approx(math.sqrt(6.0) * fr.x_nh(t), abs=1e-12)
@@ -48,7 +48,7 @@ class TestDisplacementParams:
 
     def test_needs_confining_well(self):
         params = OscillatorParams(1.0, 0.0)
-        fr = build_frame(params, ConstantForcing(1.0), 1.0, grid_points=65)
+        fr = build_frame(params, ConstantForcing(1.0), 1.0)
         with pytest.raises(DomainError):
             DisplacementParams.from_frame(fr, 0.5)
 
@@ -150,7 +150,7 @@ class TestTransitionProbability:
 
 class TestProbabilityRow:
     def test_zero_forcing_row(self, params11):
-        fr = build_frame(params11, ZeroForcing(), 1.0, grid_points=65)
+        fr = build_frame(params11, ZeroForcing(), 1.0)
         row = probability_row(0, fr, 0.7, tail_tol=1e-9)
         assert row.probabilities[0] == 1.0
         assert all(p == 0.0 for p in row.probabilities[1:])
@@ -177,8 +177,7 @@ class TestProbabilityRow:
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_row_limit_overflow_raises(self, params11):
-        frame = build_frame(params11, ConstantForcing(30.0), math.pi,
-                            grid_points=257)
+        frame = build_frame(params11, ConstantForcing(30.0), math.pi)
         # x_nh(pi) = 60 -> lambda = 1800: cannot converge within m <= 500
         with pytest.raises(NumericError) as exc:
             probability_row(0, frame, math.pi, tail_tol=1e-9)
@@ -191,7 +190,7 @@ class TestProbabilityRow:
 
 class TestGroundStateSurvival:
     def test_zero_forcing(self, params11):
-        fr = build_frame(params11, ZeroForcing(), 1.0, grid_points=65)
+        fr = build_frame(params11, ZeroForcing(), 1.0)
         assert ground_state_survival(fr, 0.8) == 1.0
 
     def test_half_period_constant_force(self, const_frame_pi):
