@@ -56,6 +56,7 @@ from .transitions import (
     ground_state_survival,
     overlap_amplitude,
     overlap_by_quadrature,
+    probability_column,
     probability_row,
     transition_probability,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "overlap",
     "overlap_amplitude",
     "overlap_by_quadrature",
+    "probability_column",
     "probability_row",
     "propagator",
     "quadratic_form_matrix",

@@ -9,8 +9,9 @@ Subcommands (one scenario JSON per run; see schemas/scenario.schema.json):
                  + final state CSV x,re,im,abs2
     verify       JSON report of the named checks; exit 0 iff all pass
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure.  Output is bit-stable for identical scenarios.
+Exit codes: 0 success, 1 verification failure, 2 configuration error or
+unwritable output, 3 numerical failure.  Output is bit-stable for
+identical scenarios.
 Multiple --scenario flags run independently; --jobs N dispatches them in
 parallel (each run is internally deterministic), with N clamped to the
 number of scenarios and of CPUs.
@@ -79,18 +80,16 @@ def _scenario_frame(scn: Scenario):
 
 
 def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
-    """P(n_initial -> m) over the time grid, with the excitation mean."""
+    """P(n_initial -> m) and the excitation mean: one frame read, one column per time."""
     frame = _scenario_frame(scn)
     csv_rows = []
     json_rows = []
     for t in _times(scn):
         t = float(t)
         d = transitions.DisplacementParams.from_frame(frame, t)
-        row = transitions.probability_row(scn.n_initial, frame, t, scn.tail_tol)
-        probs = list(row.probabilities)
-        if scn.m_max >= len(probs):
-            tail = transitions.probability_column(scn.n_initial, d, scn.m_max + 1)
-            probs.extend(tail[len(probs):].tolist())
+        column = transitions.probability_column(scn.n_initial, d, max(501, scn.m_max + 1))
+        row = transitions.probability_row(scn.n_initial, column, scn.tail_tol)
+        probs = column[:max(row.truncation_m, scn.m_max + 1)].tolist()  # row or m <= m_max
         lam = d.poisson_mean()
         csv_rows.extend((t, scn.n_initial, m, p, lam) for m, p in enumerate(probs))
         json_rows.append({
@@ -196,6 +195,8 @@ def _run_one(command: str, scenario_path: str, out_override: str | None,
         return EXIT_CONFIG, f"{scenario_path}: configuration error: {exc}"
     except NumericError as exc:
         return EXIT_NUMERIC, f"{scenario_path}: numerical failure: {exc}"
+    except OSError as exc:  # output directory or file not writable
+        return EXIT_CONFIG, f"{scenario_path}: cannot write output: {exc}"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,8 @@ lambda = |beta|^2, lo = min(n, m) and hi = max(n, m) it is evaluated as
               u^{hi-lo} L_lo^{(hi-lo)}(lambda),
     u = beta/|beta| (m >= n),   u = -conj(beta)/|beta| (m < n),
 
-for a whole column m = 0 .. M-1 at once.  NOTES.md derives it from the
+for a whole column m = 0 .. M-1 at once; a row is the column's shortest
+prefix holding 1 - tail_tol.  NOTES.md derives the form from the
 generating-function k-sum, which cancels catastrophically, so is not used;
 ``overlap_by_quadrature`` is the independent oracle for the closed form.
 """
@@ -37,8 +38,6 @@ from scipy.special import gammaln
 from .canonical import CanonicalFrame
 from .errors import DomainError, NumericError
 from .hermite import _check_n, gauss_hermite_rule, hermite_poly
-
-_ROW_SIZES = (32, 64, 128, 256, 501)  # columns tried by probability_row
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,6 @@ class TransitionRow:
     """P(n -> m) for m = 0 .. truncation_m - 1 at one time."""
 
     n: int
-    t: float
     probabilities: tuple[float, ...]
     truncation_m: int
     tail_bound: float
@@ -181,23 +179,21 @@ def overlap_by_quadrature(n: int, m: int, d: DisplacementParams, order: int) -> 
     return OracleResult(value=acc * const * norm, order=order, warning=warning)
 
 
-def probability_row(n: int, frame: CanonicalFrame, t: float, tail_tol: float) -> TransitionRow:
-    """P(n -> m) for rising m until the captured mass exceeds 1 - tail_tol."""
+def probability_row(n: int, column: np.ndarray, tail_tol: float) -> TransitionRow:
+    """Shortest prefix of a P(n -> m) column (m = 0, 1, ...) whose mass
+    exceeds 1 - tail_tol; NumericError if the whole column holds less."""
     if tail_tol <= 0.0:
         raise DomainError(f"tail_tol must be positive, got {tail_tol!r}")
     n = _check_n(n)
-    d = DisplacementParams.from_frame(frame, t)
-    for m_stop in _ROW_SIZES:
-        probs = probability_column(n, d, m_stop)
-        cumulative = np.cumsum(probs)  # non-decreasing, so searchable
-        stop = int(np.searchsorted(cumulative, 1.0 - tail_tol, side="right")) + 1
-        if stop <= m_stop:
-            return TransitionRow(
-                n=n, t=t, probabilities=tuple(probs[:stop].tolist()),
-                truncation_m=stop, tail_bound=max(0.0, 1.0 - float(cumulative[stop - 1])),
-            )
-    raise NumericError(f"transition row from n={n} did not capture 1 - {tail_tol} "
-                       f"within m <= {_ROW_SIZES[-1] - 1}", partial=tuple(probs.tolist()))
+    cumulative = np.cumsum(column)  # non-decreasing, so searchable
+    stop = int(np.searchsorted(cumulative, 1.0 - tail_tol, side="right")) + 1
+    if stop > len(column):
+        raise NumericError(f"transition row from n={n} did not capture 1 - {tail_tol} "
+                           f"within m <= {len(column) - 1}", partial=tuple(column.tolist()))
+    return TransitionRow(
+        n=n, probabilities=tuple(column[:stop].tolist()),
+        truncation_m=stop, tail_bound=max(0.0, 1.0 - float(cumulative[stop - 1])),
+    )
 
 
 def ground_state_survival(frame: CanonicalFrame, t: float) -> float:

@@ -4,11 +4,15 @@ import math
 import time
 
 import jsonschema
+import mpmath
 import numpy as np
 import pytest
 
+from scipy.special import eval_genlaguerre, gammaln
+
 from drivenosc import (
     ConstantForcing,
+    DisplacementParams,
     DomainError,
     NumericError,
     OscillatorParams,
@@ -16,6 +20,7 @@ from drivenosc import (
     SinusoidForcing,
     TabulatedForcing,
     ground_state_survival,
+    probability_column,
     propagator,
 )
 from drivenosc import cli
@@ -195,6 +200,63 @@ class TestTransitionsCommand:
         for t in np.unique(csv_rows[:, 0]):
             assert csv_rows[csv_rows[:, 0] == t, 3].sum() < 1.0 + 1e-10
 
+    def test_csv_past_the_row_is_the_column(self, tmp_path):
+        scn = write_scenario(tmp_path, forcing={"type": "pulse", "K": 1.5, "t_on": 1.0,
+                                                "t_off": 3.0},
+                             time={"t_max": 10.0, "samples": 11},
+                             quantum={"n_initial": 2, "m_max": 40, "tail_tol": 1e-9})
+        assert main(["transitions", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        _, csv_rows = read_csv(tmp_path / "transitions.csv")
+        rows = json.loads((tmp_path / "transition_rows.json").read_text())
+        loaded = Scenario.from_file(scn)
+        frame = build_frame(loaded.params, loaded.forcing, loaded.t_max)
+        for row in rows:
+            cut = len(row["probabilities"])
+            assert cut < 41
+            column = probability_column(2, DisplacementParams.from_frame(frame, row["t"]), 41)
+            at_t = csv_rows[csv_rows[:, 0] == row["t"]]
+            np.testing.assert_array_equal(at_t[:, 2], np.arange(41))
+            assert at_t[:cut, 3].tolist() == row["probabilities"]
+            assert at_t[cut:, 3].tolist() == column[cut:].tolist()
+
+    def test_rows_past_m_500_when_m_max_reaches_them(self, tmp_path):
+        # constant K = 5 displaces by lambda = 2 K^2 = 50 at t = pi: from
+        # n = 300 the row runs to m ~ 627, past the 501-entry default column
+        scn = write_scenario(tmp_path, forcing={"type": "constant", "K": 5.0},
+                             time={"t_max": math.pi, "samples": 9},
+                             quantum={"n_initial": 300, "m_max": 1500, "tail_tol": 1e-9})
+        assert main(["transitions", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "transition_rows.json").read_text())
+        assert rows[-1]["lambda"] == pytest.approx(50.0, rel=1e-12)
+        assert len(rows[-1]["probabilities"]) > 501
+        for row in rows:
+            total = math.fsum(row["probabilities"])
+            assert 1.0 - 1e-9 < total < 1.0 + 1e-10
+            assert row["tail_bound"] == pytest.approx(1.0 - total, abs=1e-13)
+        _, csv_rows = read_csv(tmp_path / "transitions.csv")
+        assert len(csv_rows) == 9 * 1501
+        assert np.all((csv_rows[:, 3] >= 0.0) & (csv_rows[:, 3] <= 1.0))
+        live = csv_rows[csv_rows[:, 4] > 0.0]
+        lo = np.minimum(300, live[:, 2].astype(int))
+        hi = np.maximum(300, live[:, 2].astype(int))
+        lam = live[:, 4]
+        with np.errstate(over="ignore", divide="ignore"):
+            ref = np.exp(gammaln(lo + 1) - gammaln(hi + 1) + (hi - lo) * np.log(lam) - lam
+                         + 2.0 * np.log(np.abs(eval_genlaguerre(lo, hi - lo, lam))))
+        # scipy's Laguerre overflows past m ~ 1340; below that it is itself
+        # up to 2.9e-14 off a 50-digit value (n = 300, m = 447, lambda = 15.4)
+        finite = np.isfinite(ref)
+        assert finite.sum() > 0.8 * len(ref)
+        assert np.max(np.abs(live[finite, 3] - ref[finite])) < 5e-14
+        assert np.all(live[~finite, 3] == 0.0)
+        row = rows[3]  # lambda = 15.4, where scipy's reference is furthest off
+        with mpmath.workdps(50):
+            lam = mpmath.mpf(row["lambda"])
+            for m in (300, 447, 470):
+                exact = (mpmath.exp(-lam) * mpmath.factorial(300) / mpmath.factorial(m)
+                         * lam ** (m - 300) * mpmath.laguerre(300, m - 300, lam) ** 2)
+                assert abs(row["probabilities"][m] - float(exact)) < 2e-14
+
 
 class TestSilentDrive:
     def test_zero_drive_over_many_periods(self, tmp_path):
@@ -239,7 +301,8 @@ class TestOverflowingDrive:
 
 
 class TestSurvivalCommand:
-    def test_reads_the_frame_once_per_sample(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["classical", "transitions", "survival"])
+    def test_reads_the_frame_once_per_sample(self, tmp_path, monkeypatch, command):
         reads = []
         values = CanonicalFrame.values
 
@@ -249,7 +312,7 @@ class TestSurvivalCommand:
 
         monkeypatch.setattr(CanonicalFrame, "values", counted)
         scn = write_scenario(tmp_path)
-        assert main(["survival", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 0
         assert len(reads) == 24
 
     def test_matches_library_survival(self, tmp_path):
@@ -299,6 +362,26 @@ class TestNonFiniteScenario:
         assert "NaN" in scn.read_text()
         assert main(["evolve-pde", "--scenario", str(scn), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "evolution.csv").exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_output_path_that_is_a_file_is_a_config_error(self, tmp_path, capsys, jobs):
+        blocker = tmp_path / "some_file"
+        blocker.write_text("")
+        argv = ["survival", "--jobs", str(jobs), "--out", str(blocker)]
+        for i in range(jobs):  # two scenarios go to subdirectories of the file
+            argv += ["--scenario", str(write_scenario(tmp_path, name=f"s{i}.json"))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == jobs
+        assert all("cannot write output" in line for line in err)
+
+    def test_unwritable_output_file_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "trajectory.csv").mkdir()
+        scn = write_scenario(tmp_path)
+        assert main(["classical", "--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        assert "cannot write output" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

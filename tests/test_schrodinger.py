@@ -274,6 +274,25 @@ class TestEvolutionCovariance:
         direct = evolve_lab(params11, spec, psi0, t)
         assert phase_quotient_defect(via, direct) < 1e-4
 
+    @pytest.mark.parametrize("params, spec, n", [
+        (OscillatorParams(1.0, 1.0), SinusoidForcing(1.0, 2.0, 0.0), 0),
+        (OscillatorParams(1.3, 0.8), SinusoidForcing(1.0, 2.0, 0.0), 3),
+        (OscillatorParams(1.0, 1.0), ConstantForcing(1.0), 1),
+    ], ids=["default", "heavy", "constant"])
+    def test_frame_map_leaves_no_global_phase(self, params, spec, n):
+        # with G the Lagrangian along the response, e^{-iE_n t} phi_n mapped
+        # to the lab is the driven state itself: no phase is quotiented here
+        # (a leftover exp(i int x_nh k) would put the gap near 2 for the
+        # constant drive, whose integral is pi)
+        t = math.pi
+        grid = GridSpec.default(params)
+        phi = eigenstate_wavefunction(params, n, grid)
+        moved = WaveFunction(grid, np.exp(-1j * eigen_energy(params, n) * t) * phi.values)
+        via = moving_to_lab(build_frame(params, spec, t), moved, t)
+        direct = evolve_lab(params, spec, phi, t)
+        gap = math.sqrt(np.sum(np.abs(via.values - direct.values) ** 2) * grid.dx)
+        assert gap < 1e-5
+
 
 class TestExpectations:
     def test_kinetic_plus_potential_is_eigenvalue(self, params11, default_grid):

@@ -15,17 +15,23 @@ from drivenosc import (
     ground_state_survival,
     overlap_amplitude,
     overlap_by_quadrature,
+    probability_column,
     probability_row,
     transition_probability,
 )
 from drivenosc.canonical import build_frame
-from drivenosc.transitions import probability_column
 
 
 def poisson(lam, m):
     if lam == 0.0:
         return 1.0 if m == 0 else 0.0
     return math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1))
+
+
+def row_at(n, frame, t, tail_tol):
+    """probability_row cut from the 501-entry column at the frame's time t."""
+    column = probability_column(n, DisplacementParams.from_frame(frame, t), 501)
+    return probability_row(n, column, tail_tol)
 
 
 def laguerre_magnitude(n, m, d):
@@ -151,14 +157,14 @@ class TestTransitionProbability:
 class TestProbabilityRow:
     def test_zero_forcing_row(self, params11):
         fr = build_frame(params11, ZeroForcing(), 1.0)
-        row = probability_row(0, fr, 0.7, tail_tol=1e-9)
+        row = row_at(0, fr, 0.7, tail_tol=1e-9)
         assert row.probabilities[0] == 1.0
         assert all(p == 0.0 for p in row.probabilities[1:])
         assert row.tail_bound <= 1e-9
 
     def test_ground_row_is_poisson(self, const_frame_pi):
         t = math.pi / 2
-        row = probability_row(0, const_frame_pi, t, tail_tol=1e-12)
+        row = row_at(0, const_frame_pi, t, tail_tol=1e-12)
         from drivenosc import DisplacementParams as DP
         lam = DP.from_frame(const_frame_pi, t).poisson_mean()
         for m, p in enumerate(row.probabilities[:16]):
@@ -166,7 +172,7 @@ class TestProbabilityRow:
 
     def test_rows_sum_to_one(self, const_frame_pi):
         for n in range(6):
-            row = probability_row(n, const_frame_pi, 2.0, tail_tol=1e-10)
+            row = row_at(n, const_frame_pi, 2.0, tail_tol=1e-10)
             assert abs(row.total() - 1.0) < 1e-8
             assert row.truncation_m == len(row.probabilities)
 
@@ -180,12 +186,12 @@ class TestProbabilityRow:
         frame = build_frame(params11, ConstantForcing(30.0), math.pi)
         # x_nh(pi) = 60 -> lambda = 1800: cannot converge within m <= 500
         with pytest.raises(NumericError) as exc:
-            probability_row(0, frame, math.pi, tail_tol=1e-9)
+            row_at(0, frame, math.pi, tail_tol=1e-9)
         assert exc.value.partial is not None
 
     def test_bad_tail_tol(self, const_frame_pi):
         with pytest.raises(DomainError):
-            probability_row(0, const_frame_pi, 1.0, tail_tol=0.0)
+            row_at(0, const_frame_pi, 1.0, tail_tol=0.0)
 
 
 class TestGroundStateSurvival:
@@ -211,11 +217,11 @@ class TestGroundStateSurvival:
 class TestTransitionRowType:
     def test_rejects_invalid_probability(self):
         with pytest.raises(DomainError):
-            TransitionRow(n=0, t=0.0, probabilities=(1.2,), truncation_m=1, tail_bound=0.0)
+            TransitionRow(n=0, probabilities=(1.2,), truncation_m=1, tail_bound=0.0)
 
     def test_rejects_oversubscribed_row(self):
         with pytest.raises(DomainError):
-            TransitionRow(n=0, t=0.0, probabilities=(0.7, 0.7), truncation_m=2, tail_bound=0.0)
+            TransitionRow(n=0, probabilities=(0.7, 0.7), truncation_m=2, tail_bound=0.0)
 
 
 def laguerre_probabilities(n, m, lam):
@@ -258,7 +264,7 @@ class TestHighQuantumNumbers:
             probs = probability_column(2000, displacement(lam, 0.3), 2600)
             assert np.all(np.isfinite(probs))
         with pytest.raises(NumericError) as exc:
-            probability_row(2000, const_frame_pi, 2.0, tail_tol=1e-9)
+            row_at(2000, const_frame_pi, 2.0, tail_tol=1e-9)
         assert np.all(np.isfinite(exc.value.partial))
 
     def test_unrepresentable_mean_is_numeric_error(self):
@@ -268,4 +274,4 @@ class TestHighQuantumNumbers:
 
     def test_row_rejects_nan(self):
         with pytest.raises(DomainError):
-            TransitionRow(n=0, t=0.0, probabilities=(math.nan,), truncation_m=1, tail_bound=0.0)
+            TransitionRow(n=0, probabilities=(math.nan,), truncation_m=1, tail_bound=0.0)
