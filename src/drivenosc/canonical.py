@@ -18,13 +18,18 @@ pointwise.  The same data feeds the quantum shift-plus-phase maps in
 :mod:`drivenosc.schrodinger`, via the phases
 
     phase_to_lab(x, t)     = (x - x_nh) m xdot_nh + G(t)
-    phase_to_moving(xi, t) = -(xi + x_nh) m xdot_nh + G(t).
+    phase_to_moving(xi, t) = -(xi m xdot_nh + G(t)),
+
+the second minus the first at x = xi + x_nh, so the two maps are exact
+inverses.
 
 A frame keeps the state of one response walk over [0, t_max] (see
 ``classical._walk``) at every panel edge: the kinks of k and the splits
 that resolve the fastest of w and the drive.  There is no spline: a read
-at any t resumes the walk from the edge at or before t, which is at most
-one panel, so every read is exact to rounding.  The walk carries
+at any t resumes the walk from the stored state at the edge at or before
+t, which is at most one panel, so every read is exact to rounding.  An
+array of times is read in one batched pass (``classical._resume``); a
+single time is read as a one-element array.  The walk carries
 (x_nh, p_nh, J) with J(t) = integral_0^t x_nh k ds, and G comes from
 the identity
 
@@ -45,7 +50,8 @@ import math
 
 import numpy as np
 
-from .classical import OscillatorParams, PhaseState, _duhamel, _panel_len, _walk, propagator
+from .classical import (OscillatorParams, PhaseState, _duhamel, _panel_len, _resume, _walk,
+                        propagator)
 from .errors import DomainError
 from .forcing import ForcingSpec
 from .quadrature import fixed_gauss_kronrod
@@ -57,30 +63,45 @@ def _lagrangian(params: OscillatorParams, spec: ForcingSpec, x: float,
     return 0.5 * m * xdot * xdot - 0.5 * m * w * w * x * x + x * spec.evaluate(t)
 
 
+def _phase_to_lab(m: float, x, center):
+    """(x - x_nh) m xdot_nh + G for center = (x_nh, xdot_nh, G), one frame read."""
+    xc, vc, g = center
+    return (x - xc) * m * vc + g
+
+
+def _phase_to_moving(m: float, xi, center):
+    """-(xi m xdot_nh + G) for center = (x_nh, xdot_nh, G), one frame read."""
+    _, vc, g = center
+    return -(xi * m * vc + g)
+
+
 class CanonicalFrame:
     """Frame data (x_nh, xdot_nh, G) over [0, t_max]; see module docstring."""
 
-    def __init__(self, params, spec, edges, xs, ps, js):
+    def __init__(self, params, spec, edges, live, xs, ps, js):
         self.params = params
         self.spec = spec
         self.t_max = float(edges[-1])
         self._edges = edges
+        self._live = live
         self._states = (xs, ps, js)
 
-    def _clamp(self, t: float) -> float:
+    def _clamp(self, ts: np.ndarray) -> np.ndarray:
         slack = 1e-12 * max(1.0, self.t_max)
-        if not math.isfinite(t) or t < -slack or t > self.t_max + slack:
-            raise DomainError(f"t={t!r} outside frame range [0, {self.t_max}]")
-        return min(max(t, 0.0), self.t_max)
+        bad = ~(np.isfinite(ts) & (ts >= -slack) & (ts <= self.t_max + slack))
+        if bad.any():
+            raise DomainError(f"t={float(ts[bad][0])!r} outside frame range [0, {self.t_max}]")
+        return np.clip(ts, 0.0, self.t_max)
 
-    def _read(self, t: float) -> tuple[float, float, float]:
-        """(x_nh, xdot_nh, G) at t, walked on from the edge at or before t."""
-        t = self._clamp(t)
-        i = int(np.searchsorted(self._edges, t, side="right")) - 1
-        x, p, j = (float(a[i]) for a in self._states)
-        if t != self._edges[i]:
-            _, xs, ps, js = _walk(self.params, self.spec, float(self._edges[i]), t, x, p, j)
-            x, p, j = float(xs[-1]), float(ps[-1]), float(js[-1])
+    def _read(self, t):
+        """(x_nh, xdot_nh, G) at t, resumed from the edge at or before t.
+
+        t is a float, read as a one-element array, or a 1-D ndarray of
+        times, read in one pass that returns three arrays."""
+        if type(t) is not np.ndarray:
+            return tuple(float(v[0]) for v in self._read(np.array([t], dtype=float)))
+        ts = self._clamp(t.astype(float, copy=False))
+        x, p, j = _resume(self.params, self.spec, self._edges, self._live, *self._states, ts)
         return x, p / self.params.m, 0.5 * (x * p + j)
 
     # -- frame data ---------------------------------------------------------
@@ -97,7 +118,9 @@ class CanonicalFrame:
         """Accumulated action phase G(t)."""
         return self._read(t)[2]
 
-    def values(self, t: float) -> tuple[float, float, float]:
+    def values(self, t):
+        """(x_nh, xdot_nh, G) at a time t, or three arrays for a 1-D
+        ndarray of times."""
         return self._read(t)
 
     def exact_values(self, t: float) -> tuple[float, float, float]:
@@ -107,7 +130,7 @@ class CanonicalFrame:
         to the next, z(s) = U(s - s') z(s') + _duhamel(s', s), so each kink
         of k is integrated over once (a node out of order restarts from 0).
         """
-        t = self._clamp(t)
+        t = float(self._clamp(np.array([t], dtype=float))[0])
         params, spec = self.params, self.spec
         z = _duhamel(params, spec, 0.0, t, 1e-12)
         s_prev, z_prev = 0.0, np.zeros(2)  # last node s' and z_nh(s')
@@ -142,13 +165,12 @@ class CanonicalFrame:
 
     def phase_to_lab(self, x, t: float):
         """Phase attached when mapping a moving-frame state to the lab."""
-        xc, vc, g = self.values(t)
-        return (x - xc) * self.params.m * vc + g
+        return _phase_to_lab(self.params.m, x, self.values(t))
 
     def phase_to_moving(self, xi, t: float):
-        """Phase attached when mapping a lab state to the moving frame."""
-        xc, vc, g = self.values(t)
-        return -(xi + xc) * self.params.m * vc + g
+        """Phase attached when mapping a lab state to the moving frame:
+        minus ``phase_to_lab`` at x = xi + x_nh."""
+        return _phase_to_moving(self.params.m, xi, self.values(t))
 
     # -- point maps ----------------------------------------------------------
 

@@ -11,12 +11,14 @@ quadratic form diag(m w^2/2, 1/(2m)): orbits in the frame of z_nh are
 ellipses of constant "energy", which is the main conserved diagnostic
 exported here.
 
-This module owns the one response kernel, ``_walk``: it carries
+This module owns the one response kernel, ``_panels``: it carries
 (x, p, J = integral_0^t x k ds) across 15-point Kronrod panels, exact to
-rounding.  ``evolve``, ``nonhomogeneous`` and the canonical frame all run
-on it.  ``_duhamel`` integrates the convolution directly by adaptive
-Gauss-Kronrod, with no carried state and no spectral matrix, and serves
-only as the independent oracle behind ``CanonicalFrame.exact_values``.
+rounding.  ``_walk`` chains it over [t0, t1] and ``_resume`` reads the
+state at any batch of times from a walk's stored edges.  ``evolve``,
+``nonhomogeneous`` and the canonical frame all run on it.  ``_duhamel``
+integrates the convolution directly by adaptive Gauss-Kronrod, with no
+carried state and no spectral matrix, and serves only as the independent
+oracle behind ``CanonicalFrame.exact_values``.
 
 w = 0 is the free-particle limit; sin(w t)/w goes over to t there, so the
 propagator needs no separate branch.
@@ -34,7 +36,7 @@ from .forcing import ForcingSpec
 from .quadrature import _KRONROD_NODES, _KRONROD_WEIGHTS, adaptive_gauss_kronrod
 
 # Most panels one walk may add to its stops and the kinks of k (about 2 s),
-# and panels per vectorized block (a few MB of temporaries).
+# and panels or frame reads per vectorized block (a few MB of temporaries).
 _PANEL_BUDGET = 200_000
 _CHUNK = 2048
 
@@ -111,20 +113,65 @@ def _panel_len(params: OscillatorParams, spec: ForcingSpec) -> float:
     return 0.25 / rate if rate > 0.0 else math.inf
 
 
-def _walk(params: OscillatorParams, spec: ForcingSpec, t0: float, t1: float,
-          x0: float, p0: float, j0: float):
-    """Panel edges of [t0, t1] and (x, p, J) of the response at each, from
-    (x0, p0, j0) at t0, where p = m xdot and J(t) = integral_0^t x k ds.
+def _panels(params: OscillatorParams, spec: ForcingSpec, a: np.ndarray, b: np.ndarray,
+            live: np.ndarray, x, p, chained: bool = False):
+    """Cross the panels [a_i, b_i] from the state (x_i, p_i) at a_i: returns
+    (x, p) at each b_i and each panel's share integral_a^b x k ds of J.
 
-    Panel edges are t0, t1, the kinks of k and splits to ``_panel_len``;
-    a span where k vanishes is one panel.  On a panel [a, b] the state is
-    z(u) = U(u - a) (z(a) + c(u)) with c(u) = integral_a^u U(a - s) (0, k(s)) ds:
-    the 15-point Kronrod rule gives c(b) and the spectral matrix gives c at
-    the interior nodes, where x feeds the rule for J.  k is smooth on each
-    panel, so all of it is exact to rounding.  More than ``_PANEL_BUDGET``
-    splits, or a state that leaves the floats, raises NumericError.
+    On a panel the state is z(u) = U(u - a) (z(a) + c(u)) with
+    c(u) = integral_a^u U(a - s) (0, k(s)) ds: the 15-point Kronrod rule
+    gives c(b) and the spectral matrix gives c at the interior nodes, where
+    x feeds the rule for J.  k is smooth on each panel, so all of it is
+    exact to rounding.  k is evaluated in one call on the panels marked
+    ``live`` and is zero on the rest.  With ``chained`` the panels are
+    consecutive and (x, p) is the state at a_0 alone: each panel starts
+    where the one before it ends.
     """
     m, w = params.m, params.omega
+    half = 0.5 * (b - a)
+    u = (a + half)[:, None] + half[:, None] * _KRONROD_NODES
+    k = np.zeros(u.shape)
+    if live.any():
+        k[live] = spec.evaluate(u[live])
+    tau = a[:, None] - u
+    cos_tau, sin_tau = np.cos(w * tau), _sin_over_omega(w, tau)
+    fx, fp = sin_tau / m * k, cos_tau * k  # U(a - u) (0, k(u))
+    end_x, end_p = half * (fx @ _KRONROD_WEIGHTS), half * (fp @ _KRONROD_WEIGHTS)
+
+    cos_h, sin_h = np.cos(w * (b - a)), _sin_over_omega(w, b - a)
+    if chained:
+        x_b, p_b = np.empty(len(a)), np.empty(len(a))
+        x_i, p_i = x, p
+        for i in range(len(a)):
+            x_i, p_i = x_i + end_x[i], p_i + end_p[i]
+            x_i, p_i = (cos_h[i] * x_i + sin_h[i] / m * p_i,
+                        cos_h[i] * p_i - m * w * w * sin_h[i] * x_i)
+            x_b[i], p_b[i] = x_i, p_i
+        x, p = np.append(x, x_b[:-1]), np.append(p, p_b[:-1])
+    else:
+        x_c, p_c = x + end_x, p + end_p
+        x_b = cos_h * x_c + sin_h / m * p_c
+        p_b = cos_h * p_c - m * w * w * sin_h * x_c
+
+    # x at the interior nodes: U(u - a) = U(-tau) applied to z(a) + c(u)
+    x_u = (cos_tau * (x[:, None] + half[:, None] * (fx @ _SPECTRAL.T))
+           - sin_tau / m * (p[:, None] + half[:, None] * (fp @ _SPECTRAL.T)))
+    return x_b, p_b, half * ((x_u * k) @ _KRONROD_WEIGHTS)
+
+
+def _walk(params: OscillatorParams, spec: ForcingSpec, t0: float, t1: float,
+          x0: float, p0: float, j0: float):
+    """Panel edges of [t0, t1], which panels k is live on, and (x, p, J) of
+    the response at each edge, from (x0, p0, j0) at t0, where p = m xdot
+    and J(t) = integral_0^t x k ds.
+
+    Panel edges are t0, t1, the kinks of k and splits to ``_panel_len``;
+    a span where k vanishes is one panel, not live.  ``live[i]`` is for
+    the panel that starts at edge i, and the last edge, which starts none,
+    is not live.  ``_panels`` crosses the panels in blocks of ``_CHUNK``.
+    More than ``_PANEL_BUDGET`` splits, or a state that leaves the floats,
+    raises NumericError.
+    """
     pts = np.union1d([t0, t1], spec.breakpoints(t0, t1))
     lengths = np.diff(pts)
     quiet = np.array([spec.vanishes(a, b) for a, b in zip(pts[:-1], pts[1:])], dtype=bool)
@@ -139,40 +186,43 @@ def _walk(params: OscillatorParams, spec: ForcingSpec, t0: float, t1: float,
     seg = np.repeat(np.arange(len(lengths)), counts)
     step = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
     edges = np.append(pts[seg] + lengths[seg] * step / counts[seg], pts[-1])
-    live = ~quiet[seg]  # panels where k is evaluated
+    live = np.append(~quiet[seg], False)
 
     xs, ps, js = (np.empty(len(edges)) for _ in range(3))
     xs[0], ps[0], js[0] = x0, p0, j0
     with np.errstate(over="ignore", invalid="ignore"):  # checked per block
         for lo in range(0, len(edges) - 1, _CHUNK):
             hi = min(lo + _CHUNK, len(edges) - 1)
-            a, b = edges[lo:hi], edges[lo + 1:hi + 1]
-            half = 0.5 * (b - a)
-            u = (a + half)[:, None] + half[:, None] * _KRONROD_NODES
-            k, rows = np.zeros(u.shape), live[lo:hi]
-            k[rows] = np.reshape([spec.evaluate(s) for s in u[rows].ravel()], (-1, u.shape[1]))
-            tau = a[:, None] - u
-            cos_tau, sin_tau = np.cos(w * tau), _sin_over_omega(w, tau)
-            fx, fp = sin_tau / m * k, cos_tau * k  # U(a - u) (0, k(u))
-            end_x, end_p = half * (fx @ _KRONROD_WEIGHTS), half * (fp @ _KRONROD_WEIGHTS)
-
-            cos_h, sin_h = np.cos(w * (b - a)), _sin_over_omega(w, b - a)
-            x, p = xs[lo], ps[lo]
-            for i in range(len(a)):
-                x, p = x + end_x[i], p + end_p[i]
-                x, p = cos_h[i] * x + sin_h[i] / m * p, cos_h[i] * p - m * w * w * sin_h[i] * x
-                xs[lo + i + 1], ps[lo + i + 1] = x, p
-
-            # x at the interior nodes: U(u - a) = U(-tau) applied to z(a) + c(u)
-            x_u = (cos_tau * (xs[lo:hi, None] + half[:, None] * (fx @ _SPECTRAL.T))
-                   - sin_tau / m * (ps[lo:hi, None] + half[:, None] * (fp @ _SPECTRAL.T)))
-            js[lo + 1:hi + 1] = js[lo] + np.cumsum(half * ((x_u * k) @ _KRONROD_WEIGHTS))
+            block = slice(lo + 1, hi + 1)
+            xs[block], ps[block], dj = _panels(params, spec, edges[lo:hi], edges[block],
+                                               live[lo:hi], xs[lo], ps[lo], chained=True)
+            js[block] = js[lo] + np.cumsum(dj)
+            # non-finite stays non-finite, so the block's last edge tells
             if not (math.isfinite(xs[hi]) and math.isfinite(ps[hi]) and math.isfinite(js[hi])):
-                block = slice(lo + 1, hi + 1)  # non-finite stays non-finite
                 finite = np.isfinite(xs[block]) & np.isfinite(ps[block]) & np.isfinite(js[block])
                 raise NumericError(f"response walk over [{pts[0]}, {pts[-1]}] left the "
                                    f"floating-point range at t = {edges[block][~finite][0]:.6g}")
-    return edges, xs, ps, js
+    return edges, live, xs, ps, js
+
+
+def _resume(params: OscillatorParams, spec: ForcingSpec, edges, live, xs, ps, js,
+            ts: np.ndarray):
+    """(x, p, J) at the times ts in [edges[0], edges[-1]], each resumed from
+    the walk's state at the edge at or before it.  [edge, t] lies inside
+    one panel, so ``_panels`` crosses each independently, in blocks of
+    ``_CHUNK`` times; a state that leaves the floats raises NumericError."""
+    i = np.searchsorted(edges, ts, side="right") - 1
+    x, p, j = (np.empty(len(ts)) for _ in range(3))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for lo in range(0, len(ts), _CHUNK):
+            block, e = slice(lo, lo + _CHUNK), i[lo:lo + _CHUNK]
+            x[block], p[block], dj = _panels(params, spec, edges[e], ts[block], live[e],
+                                             xs[e], ps[e])
+            j[block] = js[e] + dj
+    bad = ~(np.isfinite(x) & np.isfinite(p) & np.isfinite(j))
+    if bad.any():
+        raise NumericError(f"frame read left the floating-point range at t = {ts[bad][0]:.6g}")
+    return x, p, j
 
 
 def nonhomogeneous(params: OscillatorParams, spec: ForcingSpec, t: float) -> PhaseState:
@@ -180,7 +230,7 @@ def nonhomogeneous(params: OscillatorParams, spec: ForcingSpec, t: float) -> Pha
     moving frame's center."""
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"the response needs finite t >= 0, got {t!r}")
-    _, xs, ps, _ = _walk(params, spec, 0.0, t, 0.0, 0.0, 0.0)
+    _, _, xs, ps, _ = _walk(params, spec, 0.0, t, 0.0, 0.0, 0.0)
     return PhaseState(float(xs[-1]), float(ps[-1]))
 
 

@@ -58,18 +58,17 @@ def _times(scn: Scenario) -> np.ndarray:
 
 def cmd_classical(scn: Scenario, out_dir: Path) -> list[Path]:
     """Sampled trajectory z = U(t) z0 + z_nh(t), with the response z_nh read
-    off the scenario frame, and the conserved form of z - z_nh."""
-    frame = _scenario_frame(scn)
+    off the scenario frame in one pass, and the conserved form of z - z_nh."""
+    times = _times(scn)
+    x_nh, xdot_nh, _ = _scenario_frame(scn).values(times)
+    p_nh = scn.params.m * xdot_nh
     z0 = scn.initial_state.as_array()
     rows = []
-    for t in _times(scn):
-        t = float(t)
-        x_nh, xdot_nh, _ = frame.values(t)
-        p_nh = scn.params.m * xdot_nh
-        x, p = classical.propagator(scn.params, t) @ z0 + (x_nh, p_nh)
+    for t, xc, pc in zip(times.tolist(), x_nh.tolist(), p_nh.tolist()):
+        x, p = classical.propagator(scn.params, t) @ z0 + (xc, pc)
         inv = classical.quadratic_invariant(
-            scn.params, classical.PhaseState(x - x_nh, p - p_nh))
-        rows.append((t, float(x), float(p), x_nh, p_nh, inv))
+            scn.params, classical.PhaseState(x - xc, p - pc))
+        rows.append((t, float(x), float(p), xc, pc, inv))
     path = out_dir / "trajectory.csv"
     _write_csv(path, ["t", "x", "p", "x_nh", "p_nh", "invariant"], rows)
     return [path]
@@ -79,14 +78,20 @@ def _scenario_frame(scn: Scenario):
     return build_frame(scn.params, scn.forcing, scn.t_max)
 
 
+def _displacements(scn: Scenario) -> tuple[np.ndarray, list]:
+    """The sample times and the displacement at each, from one frame read."""
+    times = _times(scn)
+    x_nh, xdot_nh, _ = _scenario_frame(scn).values(times)
+    return times, transitions.DisplacementParams.series(scn.params, x_nh, xdot_nh)
+
+
 def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
-    """P(n_initial -> m) and the excitation mean: one frame read, one column per time."""
-    frame = _scenario_frame(scn)
+    """P(n_initial -> m) and the excitation mean: one column per time, all
+    displacements from one frame read."""
     csv_rows = []
     json_rows = []
-    for t in _times(scn):
+    for t, d in zip(*_displacements(scn)):
         t = float(t)
-        d = transitions.DisplacementParams.from_frame(frame, t)
         column = transitions.probability_column(scn.n_initial, d, max(501, scn.m_max + 1))
         row = transitions.probability_row(scn.n_initial, column, scn.tail_tol)
         probs = column[:max(row.truncation_m, scn.m_max + 1)].tolist()  # row or m <= m_max
@@ -109,13 +114,11 @@ def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
 
 
 def cmd_survival(scn: Scenario, out_dir: Path) -> list[Path]:
-    """Ground-state survival probability over the time grid."""
-    frame = _scenario_frame(scn)
+    """Ground-state survival probability exp(-lambda) over the time grid."""
     rows = []
-    for t in _times(scn):
-        t = float(t)
-        lam = transitions.DisplacementParams.from_frame(frame, t).poisson_mean()
-        rows.append((t, lam, math.exp(-lam)))  # ground_state_survival without a second read
+    for t, d in zip(*_displacements(scn)):
+        lam = d.poisson_mean()
+        rows.append((float(t), lam, math.exp(-lam)))
     path = out_dir / "survival.csv"
     _write_csv(path, ["t", "lambda", "survival"], rows)
     return [path]

@@ -6,6 +6,11 @@ is smooth except at the finitely many kinks listed by ``breakpoints``
 (pulse edges, table knots), where the integration routines split;
 ``vanishes`` tells where k is zero, which the response walk steps over.
 
+``evaluate`` takes one time or an ndarray of times.  Each variant has a
+scalar ``_value``, which the oracles call point by point, and a numpy
+``_values``, which the response walk and the frame reads call once per
+block.
+
 All specs are frozen dataclasses: immutable, hashable, safe to share
 between threads, and serializable to a small JSON object.
 """
@@ -16,6 +21,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -23,13 +30,21 @@ from .errors import DomainError
 class ForcingSpec:
     """Base class for force profiles; subclasses implement k(t)."""
 
-    def evaluate(self, t: float) -> float:
-        """Force at time t. Pure and deterministic."""
+    def evaluate(self, t):
+        """Force at time t, or at every time of an ndarray t (same shape).
+        Pure and deterministic."""
+        if type(t) is np.ndarray:
+            if not np.all(np.isfinite(t)):
+                raise DomainError(f"time must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+            return self._values(t)
         if not math.isfinite(t):
             raise DomainError(f"time must be finite, got {t!r}")
         return self._value(t)
 
     def _value(self, t: float) -> float:
+        raise NotImplementedError
+
+    def _values(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def breakpoints(self, t0: float, t1: float) -> tuple[float, ...]:
@@ -63,6 +78,9 @@ class ZeroForcing(ForcingSpec):
     def _value(self, t):
         return 0.0
 
+    def _values(self, t):
+        return np.zeros(t.shape)
+
     def vanishes(self, t0, t1):
         return True
 
@@ -76,6 +94,9 @@ class ConstantForcing(ForcingSpec):
 
     def _value(self, t):
         return self.K
+
+    def _values(self, t):
+        return np.full(t.shape, float(self.K))
 
     def vanishes(self, t0, t1):
         return self.K == 0.0
@@ -94,6 +115,9 @@ class SinusoidForcing(ForcingSpec):
 
     def _value(self, t):
         return self.A * math.cos(self.Omega * t + self.phi)
+
+    def _values(self, t):
+        return self.A * np.cos(self.Omega * t + self.phi)
 
     def vanishes(self, t0, t1):
         return self.A == 0.0
@@ -119,6 +143,9 @@ class PulseForcing(ForcingSpec):
 
     def _value(self, t):
         return self.K if self.t_on <= t < self.t_off else 0.0
+
+    def _values(self, t):
+        return np.where((self.t_on <= t) & (t < self.t_off), float(self.K), 0.0)
 
     def breakpoints(self, t0, t1):
         return tuple(p for p in (self.t_on, self.t_off) if t0 < p < t1)
@@ -149,6 +176,7 @@ class TabulatedForcing(ForcingSpec):
         if any(b <= a for a, b in zip(times, times[1:])):
             raise DomainError("tabulated forcing needs strictly increasing times")
         object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_knots", np.array(samples).T)
 
     def _value(self, t):
         times = self._times
@@ -163,6 +191,15 @@ class TabulatedForcing(ForcingSpec):
         if t == t0:
             return k0
         return k0 + (k1 - k0) * (t - t0) / (t1 - t0)
+
+    def _values(self, t):
+        times, ks = self._knots
+        i = np.clip(np.searchsorted(times, t, side="right"), 1, len(times) - 1)
+        t0, t1, k0, k1 = times[i - 1], times[i], ks[i - 1], ks[i]
+        with np.errstate(over="ignore", invalid="ignore"):  # masked below
+            k = k0 + (k1 - k0) * (t - t0) / (t1 - t0)
+        k = np.where(t == t0, k0, np.where(t == times[-1], ks[-1], k))
+        return np.where((t < times[0]) | (t > times[-1]), 0.0, k)
 
     def breakpoints(self, t0, t1):
         times = self._times

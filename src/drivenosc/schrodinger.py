@@ -12,6 +12,11 @@ The frame-change maps are shift-plus-phase operators built from a
     moving_to_lab:  phi(x)  -> e^{i phase_to_lab(x, t)}  phi(x - x_nh(t))
     lab_to_moving:  psi(xi) -> e^{i phase_to_moving(xi, t)} psi(xi + x_nh(t))
 
+with phase_to_lab(x, t) = (x - x_nh) m xdot_nh + G and
+phase_to_moving(xi, t) = -(xi m xdot_nh + G), so each map is the exact
+inverse of the other, global phase included.  Each map reads the frame
+once.
+
 Shifts are applied in the momentum representation (exact for band-limited
 states).  These two maps intertwine the driven and unforced evolutions:
 lab_to_moving(evolve_lab(psi, t), t) equals evolve_moving(psi, t), which
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalFrame
+from .canonical import CanonicalFrame, _phase_to_lab, _phase_to_moving
 from .classical import OscillatorParams
 from .errors import BoundaryError, DomainError
 from .forcing import ForcingSpec, ZeroForcing
@@ -229,8 +234,9 @@ def evolve_moving(params: OscillatorParams, phi0: WaveFunction, t_final: float,
 def moving_to_lab(frame: CanonicalFrame, phi: WaveFunction, t: float) -> WaveFunction:
     """Map a moving-frame state to the laboratory frame at time t:
     shift by +x_nh(t), then attach e^{i phase_to_lab(x, t)}."""
-    shifted = _shift_values(phi, frame.x_nh(t))
-    vals = np.exp(1j * frame.phase_to_lab(phi.grid.x, t)) * shifted
+    center = frame.values(t)
+    shifted = _shift_values(phi, center[0])
+    vals = np.exp(1j * _phase_to_lab(frame.params.m, phi.grid.x, center)) * shifted
     out = WaveFunction(phi.grid, vals)
     _check_boundary(out, "moving_to_lab")
     return out
@@ -238,8 +244,9 @@ def moving_to_lab(frame: CanonicalFrame, phi: WaveFunction, t: float) -> WaveFun
 
 def lab_to_moving(frame: CanonicalFrame, psi: WaveFunction, t: float) -> WaveFunction:
     """Inverse frame map: shift by -x_nh(t) with phase_to_moving attached."""
-    shifted = _shift_values(psi, -frame.x_nh(t))
-    vals = np.exp(1j * frame.phase_to_moving(psi.grid.x, t)) * shifted
+    center = frame.values(t)
+    shifted = _shift_values(psi, -center[0])
+    vals = np.exp(1j * _phase_to_moving(frame.params.m, psi.grid.x, center)) * shifted
     out = WaveFunction(psi.grid, vals)
     _check_boundary(out, "lab_to_moving")
     return out

@@ -36,6 +36,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .canonical import CanonicalFrame
+from .classical import OscillatorParams
 from .errors import DomainError, NumericError
 from .hermite import _check_n, gauss_hermite_rule, hermite_poly
 
@@ -52,15 +53,20 @@ class DisplacementParams:
             raise DomainError(f"displacement must be finite, got ({self.a!r}, {self.b!r})")
 
     @classmethod
-    def from_frame(cls, frame: CanonicalFrame, t: float) -> "DisplacementParams":
-        params = frame.params
+    def series(cls, params: OscillatorParams, x_nh: np.ndarray,
+               xdot_nh: np.ndarray) -> list["DisplacementParams"]:
+        """One displacement per frame value (x_nh[i], xdot_nh[i]), as read
+        by ``CanonicalFrame.values`` for an array of times."""
         if params.omega <= 0.0:
             raise DomainError("displacement parameters need omega > 0")
-        x, xdot, _ = frame.values(t)
-        return cls(
-            a=math.sqrt(params.m * params.omega) * x,
-            b=xdot * math.sqrt(params.m / params.omega),
-        )
+        a = math.sqrt(params.m * params.omega) * x_nh
+        b = xdot_nh * math.sqrt(params.m / params.omega)
+        return [cls(a=a_i, b=b_i) for a_i, b_i in zip(a.tolist(), b.tolist())]
+
+    @classmethod
+    def from_frame(cls, frame: CanonicalFrame, t: float) -> "DisplacementParams":
+        x, xdot, _ = frame.values(np.array([t], dtype=float))
+        return cls.series(frame.params, x, xdot)[0]
 
     def poisson_mean(self) -> float:
         """lambda = (a^2 + b^2)/2, the mean excitation from the ground state."""

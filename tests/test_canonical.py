@@ -99,19 +99,48 @@ class TestFrameData:
         # the nodes are the walk's own panel edges: 15 Kronrod nodes per
         # panel the drive needs, and no extra panels for a node grid
         scn = Scenario.default()
-        calls = []
+        evaluated = []  # times per call: the walk evaluates a block at once
         evaluate = SinusoidForcing.evaluate
         monkeypatch.setattr(SinusoidForcing, "evaluate",
-                            lambda self, t: calls.append(t) or evaluate(self, t))
+                            lambda self, t: evaluated.append(np.size(t)) or evaluate(self, t))
         build_frame(scn.params, scn.forcing, scn.t_max)
         panels = math.ceil(scn.t_max / _panel_len(scn.params, scn.forcing))
-        assert 0 < len(calls) <= 15 * panels
+        assert 0 < sum(evaluated) <= 15 * panels
 
     def test_out_of_range_rejected(self, const_frame_pi):
         with pytest.raises(DomainError):
             const_frame_pi.x_nh(-0.5)
         with pytest.raises(DomainError):
             const_frame_pi.gauge(math.pi + 0.1)
+        for bad in (-0.5, math.pi + 0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                const_frame_pi.values(np.array([0.0, 1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("params, spec, t_max", [
+        (OscillatorParams(1.0, 1.0), SinusoidForcing(0.8, 1.7, 0.5), 3.0),
+        (OscillatorParams(1.1, 0.9), PulseForcing(K=1.0, t_on=2.0, t_off=17.3), 10 * math.pi),
+        (OscillatorParams(2.0, 1.3),
+         TabulatedForcing(tuple((0.3 * i - 0.6, math.sin(1.7 * i)) for i in range(16))), 4.0),
+    ], ids=["sinusoid", "pulse", "table"])
+    def test_batched_read_matches_single_reads(self, params, spec, t_max):
+        # one pass over many times against one read per time, panel edges,
+        # kinks and both ends included, and against the oracle
+        fr = build_frame(params, spec, t_max)
+        rng = np.random.default_rng(17)
+        kinks = np.array(spec.breakpoints(0.0, t_max))
+        ts = np.concatenate([[0.0, t_max], kinks, np.nextafter(kinks, 0.0),
+                             np.linspace(0.0, t_max, 101), rng.uniform(0.0, t_max, 3000)])
+        batched = np.array(fr.values(ts))
+        single = np.array([fr.values(float(t)) for t in ts]).T
+        assert batched.shape == (3, len(ts))
+        np.testing.assert_allclose(batched, single, rtol=1e-15, atol=1e-15)
+        for t in rng.choice(ts, 4):
+            np.testing.assert_allclose(batched[:, ts == t][:, 0], fr.exact_values(float(t)),
+                                       atol=1e-10)
+
+    def test_batched_read_of_no_times_is_empty(self, const_frame_pi):
+        out = const_frame_pi.values(np.array([]))
+        assert len(out) == 3 and all(a.shape == (0,) for a in out)
 
     def test_bad_build_arguments(self, params11):
         with pytest.raises(DomainError):
@@ -182,16 +211,20 @@ class TestGeneratingFunctions:
         g = const_frame_pi.gauge(t)
         assert g == pytest.approx(math.pi / 4, abs=1e-11)
         assert const_frame_pi.phase_to_lab(2.0, t) == pytest.approx((2 - 1) * 1 + g, abs=1e-10)
-        assert const_frame_pi.phase_to_moving(0.0, t) == pytest.approx(-1.0 + g, abs=1e-10)
+        # the inverse phase at xi is minus phase_to_lab at xi + x_nh
+        assert const_frame_pi.phase_to_moving(0.0, t) == pytest.approx(-g, abs=1e-10)
 
     def test_f2_half_period(self, const_frame_pi):
         # xdot_nh(pi) = 0, so F2(1, 0, pi) = G(pi) = pi/2
         assert const_frame_pi.f2(1.0, 0.0, math.pi) == pytest.approx(math.pi / 2, abs=1e-10)
 
     def test_phase_prime_on_negated_center(self, const_frame_pi):
+        # xi = -x_nh maps to x = 0, where phase_to_lab is -x_nh m xdot_nh + G
         t = 2.0
-        assert const_frame_pi.phase_to_moving(-const_frame_pi.x_nh(t), t) == \
-            pytest.approx(const_frame_pi.gauge(t), abs=1e-12)
+        x, v, g = const_frame_pi.values(t)
+        assert const_frame_pi.phase_to_moving(-x, t) == pytest.approx(x * v - g, abs=1e-12)
+        assert const_frame_pi.phase_to_moving(-x, t) == \
+            pytest.approx(-const_frame_pi.phase_to_lab(0.0, t), abs=1e-12)
 
 
 class TestTransformationLaw:

@@ -1,7 +1,11 @@
 import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import mpmath
@@ -144,6 +148,34 @@ class TestClassicalCommand:
         np.testing.assert_allclose(rows[:, 3], (1 - np.cos(w * t)) / w**2, atol=1e-10)
         np.testing.assert_allclose(rows[:, 4], np.sin(w * t) / w, atol=1e-10)
         assert rows[:, 3].max() == pytest.approx(2 / w**2, rel=1e-3)
+
+
+    def test_many_samples_keep_memory_bounded(self, tmp_path):
+        # frame reads go in blocks of _CHUNK times: 200001 samples raised the
+        # peak RSS by ~70 MB (mostly the CSV rows), where one unblocked read
+        # would add ~220 MB more (measured on Linux, numpy 2.4)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def peak_rss_mb(samples):
+            scn = write_scenario(tmp_path, name=f"scn{samples}.json",
+                                 forcing={"type": "sinusoid", "A": 1.0, "Omega": 2.0},
+                                 time={"t_max": 10.0, "samples": samples})
+            out = tmp_path / str(samples)
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "drivenosc.cli", "classical", "--scenario", str(scn),
+                 "--out", str(out)], env=env, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0
+            return usage.ru_maxrss / 1024.0, out / "trajectory.csv"
+
+        base, _ = peak_rss_mb(2)
+        peak, csv_path = peak_rss_mb(200001)
+        with open(csv_path) as fh:
+            assert sum(1 for _ in fh) == 200002
+        assert peak - base < 160.0
 
 
 class TestTransitionsCommand:
@@ -313,7 +345,9 @@ class TestSurvivalCommand:
         monkeypatch.setattr(CanonicalFrame, "values", counted)
         scn = write_scenario(tmp_path)
         assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 0
-        assert len(reads) == 24
+        # one batched read covers all 24 sample times
+        assert len(reads) == 1
+        np.testing.assert_array_equal(reads[0], np.linspace(0.0, math.pi, 24))
 
     def test_matches_library_survival(self, tmp_path):
         scn = write_scenario(tmp_path)

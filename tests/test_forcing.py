@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from drivenosc import (
@@ -57,6 +58,33 @@ class TestEvaluate:
             spec.evaluate(math.inf)
         with pytest.raises(DomainError):
             spec.evaluate(math.nan)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                spec.evaluate(np.array([0.5, bad, 1.0]))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS + [
+        TabulatedForcing(samples=tuple((0.3 * i - 0.6, math.sin(1.7 * i)) for i in range(16))),
+        # k1 - k0 overflows: a knot still returns its own value, not inf * 0
+        TabulatedForcing(samples=((0.0, -1e308), (1.0, 1e308), (2.0, 0.0))),
+    ])
+    def test_array_matches_scalar(self, spec):
+        # pulse edges, every knot and both table ends exactly, points just
+        # beside them, times outside the table and a spread in between
+        special = [0.5, 2.0, -1.0, 0.0, 1e-300]
+        if isinstance(spec, TabulatedForcing):
+            special += [t for t, _ in spec.samples]
+        special = np.array(special)
+        ts = np.concatenate([special, np.nextafter(special, -np.inf),
+                             np.nextafter(special, np.inf), np.linspace(-3.0, 6.0, 401)])
+        scalar = np.array([spec.evaluate(float(t)) for t in ts])
+        batched = spec.evaluate(ts)
+        assert type(batched) is np.ndarray and batched.shape == ts.shape
+        if isinstance(spec, SinusoidForcing):  # numpy's cos against math.cos
+            np.testing.assert_allclose(batched, scalar, rtol=0.0, atol=1e-15 * abs(spec.A))
+        else:
+            np.testing.assert_array_equal(batched, scalar)
+        np.testing.assert_array_equal(spec.evaluate(np.stack([ts, ts])), np.stack([batched, batched]))
+        assert spec.evaluate(np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_deterministic(self, spec):

@@ -209,6 +209,13 @@ class TestFrameMaps:
         back = lab_to_moving(const_frame_pi, moving_to_lab(const_frame_pi, psi, 2.2), 2.2)
         assert fidelity(back, psi) > 1.0 - 1e-10
 
+    def test_inverse_pair_is_exact(self, params11, default_grid, const_frame_pi):
+        # no global phase quotiented: lab_to_moving undoes moving_to_lab
+        psi = eigenstate_wavefunction(params11, 1, default_grid)
+        back = lab_to_moving(const_frame_pi, moving_to_lab(const_frame_pi, psi, 2.2), 2.2)
+        gap = math.sqrt(np.sum(np.abs(back.values - psi.values) ** 2) * default_grid.dx)
+        assert gap < 1e-12
+
     def test_position_operator_covariance(self, params11, default_grid, const_frame_pi):
         rng = np.random.default_rng(43)
         x = default_grid.x
