@@ -75,14 +75,22 @@ def _sin_over_omega(omega: float, t):
     return t * np.sinc(omega * t / math.pi)
 
 
-def propagator(params: OscillatorParams, t: float) -> np.ndarray:
-    """Homogeneous-flow matrix U(t); symplectic, U(t+s) = U(t)U(s)."""
-    if not math.isfinite(t):
-        raise DomainError(f"time must be finite, got {t!r}")
+def propagator(params: OscillatorParams, t) -> np.ndarray:
+    """Homogeneous-flow matrix U(t); symplectic, U(t+s) = U(t)U(s).  For an
+    ndarray of times, the stack of U at each time, shape t.shape + (2, 2)."""
     m, w = params.m, params.omega
-    c = math.cos(w * t)
+    if type(t) is np.ndarray:
+        if not np.all(np.isfinite(t)):
+            raise DomainError(f"time must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+        c = np.cos(w * t)
+    elif math.isfinite(t):
+        c = math.cos(w * t)
+    else:
+        raise DomainError(f"time must be finite, got {t!r}")
     s1 = _sin_over_omega(w, t)  # sin(wt)/w
-    return np.array([[c, s1 / m], [-m * w * w * s1, c]])
+    u = np.array([[c, s1 / m], [-m * w * w * s1, c]])
+    # contiguous, so that U @ z runs the same product kernel as for one matrix
+    return u if u.ndim == 2 else np.ascontiguousarray(np.moveaxis(u, (0, 1), (-2, -1)))
 
 
 def quadratic_form_matrix(params: OscillatorParams) -> np.ndarray:

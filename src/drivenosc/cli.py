@@ -10,8 +10,9 @@ Subcommands (one scenario JSON per run; see schemas/scenario.schema.json):
     verify       JSON report of the named checks; exit 0 iff all pass
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error or
-unwritable output, 3 numerical failure.  Output is bit-stable for
-identical scenarios.
+unwritable output, 3 numerical failure or any other unexpected exception
+(reported in one line as "internal failure: <Type>: <message>").  Output
+is bit-stable for identical scenarios.
 Multiple --scenario flags run independently; --jobs N dispatches them in
 parallel (each run is internally deterministic), with N clamped to the
 number of scenarios and of CPUs.
@@ -58,19 +59,23 @@ def _times(scn: Scenario) -> np.ndarray:
 
 def cmd_classical(scn: Scenario, out_dir: Path) -> list[Path]:
     """Sampled trajectory z = U(t) z0 + z_nh(t), with the response z_nh read
-    off the scenario frame in one pass, and the conserved form of z - z_nh."""
+    off the scenario frame in one pass, and the conserved form of z - z_nh,
+    each column computed over all sample times at once."""
     times = _times(scn)
     x_nh, xdot_nh, _ = _scenario_frame(scn).values(times)
-    p_nh = scn.params.m * xdot_nh
-    z0 = scn.initial_state.as_array()
-    rows = []
-    for t, xc, pc in zip(times.tolist(), x_nh.tolist(), p_nh.tolist()):
-        x, p = classical.propagator(scn.params, t) @ z0 + (xc, pc)
-        inv = classical.quadratic_invariant(
-            scn.params, classical.PhaseState(x - xc, p - pc))
-        rows.append((t, float(x), float(p), xc, pc, inv))
+    z_nh = np.stack([x_nh, scn.params.m * xdot_nh], axis=1)
+    z = classical.propagator(scn.params, times) @ scn.initial_state.as_array() + z_nh
+    rel = z - z_nh
+    if not np.all(np.isfinite(rel)):
+        i = int(np.argmin(np.all(np.isfinite(rel), axis=1)))
+        x, p = rel[i].tolist()
+        raise DomainError(f"phase-space point must be finite, got ({x!r}, {p!r}) "
+                          f"at t={times[i]:.17g}")
+    m, w = scn.params.m, scn.params.omega
+    invariant = 0.5 * (m * w**2 * rel[:, 0] ** 2 + rel[:, 1] ** 2 / m)  # quadratic_invariant's form
     path = out_dir / "trajectory.csv"
-    _write_csv(path, ["t", "x", "p", "x_nh", "p_nh", "invariant"], rows)
+    _write_csv(path, ["t", "x", "p", "x_nh", "p_nh", "invariant"],
+               zip(times.tolist(), *z.T.tolist(), *z_nh.T.tolist(), invariant.tolist()))
     return [path]
 
 
@@ -200,6 +205,9 @@ def _run_one(command: str, scenario_path: str, out_override: str | None,
         return EXIT_NUMERIC, f"{scenario_path}: numerical failure: {exc}"
     except OSError as exc:  # output directory or file not writable
         return EXIT_CONFIG, f"{scenario_path}: cannot write output: {exc}"
+    except Exception as exc:  # a fault no class above names: exit 3, never 1
+        message = " ".join(str(exc).splitlines())
+        return EXIT_NUMERIC, f"{scenario_path}: internal failure: {type(exc).__name__}: {message}"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,29 @@
 """Grid-based quantum evolution and the frame-change unitaries.
 
 States live on a uniform periodic grid (endpoint excluded, FFT layout).
-Time stepping is second-order Strang splitting: half potential step,
-spectral kinetic step, half potential step, with the driving force
-evaluated at the midpoint of each step.  Every factor is a pure phase, so
-the discrete norm is conserved to rounding.
+Time stepping is second-order Strang splitting (Strang 1968; Feit, Fleck
+& Steiger 1982): half potential step, spectral kinetic step, half
+potential step, with the driving force k_j evaluated at the midpoint of
+step j.  Every factor is a pure phase, so the discrete norm is conserved
+to rounding.
+
+The steps run in blocks of at most 256, the boundary-check interval.
+Within a block the half potential step that ends step j and the one that
+starts step j + 1 are both multiplications by functions of x, so they
+commute and fuse into one exact phase,
+
+    e^{-i (dt/2) V_j} e^{-i (dt/2) V_{j+1}} = e^{-i dt V_h} e^{i (dt/2)(k_j + k_{j+1}) x},
+
+with V_h = m w^2 x^2/2 and V_j = V_h - x k_j.  A block of n steps thus
+costs n + 1 potential multiplies instead of 2n, with only its first and
+last factor a half step, so the state between blocks is the true state
+at a whole-step time; the fused product differs from the unfused one
+only by rounding.  k is read once per block, at all its midpoints, and
+not at all over a block where ``spec.vanishes``.  The drive phase e^{icx}
+is never formed over the whole grid: with x_l = x_min + dx (q a + b) on
+the (points/q, q) view of the state, q = 2^floor(bitlen(points)/2), it is
+e^{ic (x_min + q dx a)} times e^{ic dx b}, two short factors per step
+that are exact to rounding (7e-15 at c = 3.7 on the default grid).
 
 The frame-change maps are shift-plus-phase operators built from a
 :class:`~drivenosc.canonical.CanonicalFrame`:
@@ -38,6 +57,9 @@ from .hermite import eigenstate
 
 _BOUNDARY_FRACTION = 0.05
 _BOUNDARY_MASS = 1e-10
+# Steps per block of the split-operator stepper: the boundary-check interval,
+# and the steps that share one force read.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -182,47 +204,57 @@ def evolve_lab(params: OscillatorParams, spec: ForcingSpec, psi0: WaveFunction,
     _require_normalized(psi0, "evolve")
     _check_boundary(psi0, "initial state")
 
-    m, w = params.m, params.omega
-    x = grid.x
-    k2 = grid.wavenumbers**2
     dt = grid.dt
-
     span = t_final - t0
     n_full = int(math.floor(span / dt + 1e-12))
     remainder = span - n_full * dt
     if remainder < 1e-12 * max(1.0, abs(span)):
         remainder = 0.0
 
-    kin = np.exp(-1j * k2 / (2.0 * m) * dt)
-    harm_half = np.exp(-1j * (0.5 * m * w * w * x * x) * (0.5 * dt))
-
     vals = psi0.values.copy()
-    zero_force = isinstance(spec, ZeroForcing)
-
-    def do_step(step_dt, kin_phase, harm_phase, t_mid):
-        nonlocal vals
-        if zero_force:
-            half = harm_phase
-        else:
-            half = harm_phase * np.exp(1j * x * spec.evaluate(t_mid) * (0.5 * step_dt))
-        vals = half * vals
-        vals = np.fft.ifft(kin_phase * np.fft.fft(vals))
-        vals = half * vals
-
-    t = t0
-    for j in range(n_full):
-        do_step(dt, kin, harm_half, t + 0.5 * dt)
-        t += dt
-        if (j + 1) % 256 == 0:
-            _check_boundary(WaveFunction(grid, vals), f"evolution at t={t:.6g}")
+    for start in range(0, n_full, _BLOCK):
+        end = min(start + _BLOCK, n_full)
+        _strang_block(params, spec, vals, grid, t0 + start * dt, dt, end - start)
+        if end % _BLOCK == 0:
+            _check_boundary(WaveFunction(grid, vals), f"evolution at t={t0 + end * dt:.6g}")
     if remainder > 0.0:
-        kin_r = np.exp(-1j * k2 / (2.0 * m) * remainder)
-        harm_r = np.exp(-1j * (0.5 * m * w * w * x * x) * (0.5 * remainder))
-        do_step(remainder, kin_r, harm_r, t + 0.5 * remainder)
+        _strang_block(params, spec, vals, grid, t0 + n_full * dt, remainder, 1)
 
     out = WaveFunction(grid, vals)
     _check_boundary(out, "final state")
     return out
+
+
+def _strang_block(params: OscillatorParams, spec: ForcingSpec, vals: np.ndarray,
+                  grid: GridSpec, t_a: float, dt: float, steps: int) -> None:
+    """Advance vals in place by `steps` Strang steps of dt from t_a, with the
+    potential steps fused and k read at every midpoint in one evaluate
+    call (see the module docstring)."""
+    v = 0.5 * params.m * params.omega**2 * grid.x**2
+    ends = np.exp(-0.5j * dt * v)
+    inner = np.exp(-1j * dt * v)
+    kin = np.exp(-1j * dt / (2.0 * params.m) * grid.wavenumbers**2)
+
+    driven = not spec.vanishes(t_a, t_a + steps * dt)
+    if driven:
+        half = 0.5 * dt * spec.evaluate(t_a + (np.arange(steps) + 0.5) * dt)
+        c = np.append(half, 0.0) + np.insert(half, 0, 0.0)  # e^{icx} of each multiply
+        q = 1 << (grid.points.bit_length() // 2)
+        view = vals.reshape(-1, q)  # x_min + dx (q a + b) at [a, b]
+        coarse = grid.x_min + q * grid.dx * np.arange(grid.points // q)
+        by_row = np.exp(1j * np.multiply.outer(c, coarse))[:, :, None]
+        by_col = np.exp(1j * np.multiply.outer(c, grid.dx * np.arange(q)))[:, None, :]
+
+    spectrum = np.empty_like(vals)
+    for j in range(steps + 1):
+        vals *= ends if j in (0, steps) else inner
+        if driven:
+            view *= by_row[j]
+            view *= by_col[j]
+        if j < steps:
+            np.fft.fft(vals, out=spectrum)
+            spectrum *= kin
+            np.fft.ifft(spectrum, out=vals)
 
 
 def evolve_moving(params: OscillatorParams, phi0: WaveFunction, t_final: float,

@@ -87,6 +87,19 @@ class TestPropagator:
     def test_nonfinite_time_rejected(self):
         with pytest.raises(DomainError):
             propagator(OscillatorParams(1.0, 1.0), math.nan)
+        with pytest.raises(DomainError):
+            propagator(OscillatorParams(1.0, 1.0), np.array([0.0, math.inf]))
+
+    def test_array_of_times_stacks_the_scalar_matrices(self):
+        # bit for bit, also through the product with a state
+        times = np.linspace(-7.0, 40.0, 1001).reshape(7, 143)
+        z0 = np.array([0.37, -1.2])
+        for p in (OscillatorParams(1.3, 0.8), OscillatorParams(2.0, 0.0)):
+            stack = propagator(p, times)
+            assert stack.shape == (7, 143, 2, 2)
+            single = [propagator(p, t) for t in times.ravel().tolist()]
+            assert np.array_equal(stack.reshape(-1, 2, 2), single)
+            assert np.array_equal((stack @ z0).reshape(-1, 2), [u @ z0 for u in single])
 
 
 class TestEvolve:

@@ -26,6 +26,7 @@ from drivenosc import (
     ground_state_survival,
     probability_column,
     propagator,
+    quadratic_invariant,
 )
 from drivenosc import cli
 from drivenosc.canonical import CanonicalFrame, build_frame
@@ -134,6 +135,35 @@ class TestClassicalCommand:
             z = propagator(params, t) @ np.array([0.3, -0.2])
             assert x == pytest.approx(z[0] + x_nh, abs=1e-12)
             assert p == pytest.approx(z[1] + params.m * v_nh, abs=1e-12)
+
+    @pytest.mark.parametrize("forcing", [
+        {"type": "sinusoid", "A": 1.0, "Omega": 2.0, "phi": 0.1},
+        {"type": "pulse", "K": 1.2, "t_on": 0.7, "t_off": 2.2},
+    ], ids=["sinusoid", "pulse"])
+    def test_rows_equal_the_per_sample_loop(self, tmp_path, forcing):
+        # the columns are computed over all times at once; each row is bit
+        # for bit the per-sample product U(t) z0 + z_nh and its invariant
+        scn = write_scenario(tmp_path, params={"m": 1.3, "omega": 0.8}, forcing=forcing,
+                             initial_state={"x": 0.4, "p": -0.3},
+                             time={"t_max": 3.7, "samples": 57})
+        assert main(["classical", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "trajectory.csv")
+        params = OscillatorParams(1.3, 0.8)
+        frame = build_frame(params, Scenario.from_file(str(scn)).forcing, 3.7)
+        x_nh, xdot_nh, _ = frame.values(rows[:, 0])
+        z0 = np.array([0.4, -0.3])
+        for (t, *row), xc, pc in zip(rows.tolist(), x_nh.tolist(), (params.m * xdot_nh).tolist()):
+            x, p = propagator(params, t) @ z0 + (xc, pc)
+            inv = quadratic_invariant(params, PhaseState(x - xc, p - pc))
+            assert row == [x, p, xc, pc, inv]
+
+    def test_overflowing_state_is_a_config_error(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, initial_state={"x": 1.7e308, "p": 1.7e308},
+                             time={"t_max": 1.0, "samples": 5})
+        with np.errstate(over="ignore"):
+            assert main(["classical", "--scenario", str(scn), "--out", str(tmp_path)]) == 2
+        assert "phase-space point must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_slow_oscillator_traces_wide_ellipse(self, tmp_path):
         w = 2 * math.pi / 100
@@ -416,6 +446,30 @@ class TestUnwritableOutput:
         scn = write_scenario(tmp_path)
         assert main(["classical", "--scenario", str(scn), "--out", str(tmp_path)]) == 2
         assert "cannot write output" in capsys.readouterr().err
+
+
+class TestInternalFailure:
+    @pytest.mark.parametrize("command, runner", [
+        ("survival", "cmd_survival"), ("verify", "cmd_verify")])
+    def test_unexpected_exception_exits_3_in_one_line(self, tmp_path, capsys, monkeypatch,
+                                                     command, runner):
+        def broken(*args):
+            raise RuntimeError("no such\ncolumn")
+
+        monkeypatch.setattr(cli, runner, broken)
+        scn = write_scenario(tmp_path)
+        assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"{scn}: internal failure: RuntimeError: no such column\n"
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_pass_through(self, tmp_path, monkeypatch, exc):
+        def interrupted(*args):
+            raise exc()
+
+        monkeypatch.setattr(cli, "cmd_classical", interrupted)
+        scn = write_scenario(tmp_path)
+        with pytest.raises(exc):
+            main(["classical", "--scenario", str(scn), "--out", str(tmp_path)])
 
 
 class TestVerifyCommand:

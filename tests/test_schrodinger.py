@@ -9,7 +9,9 @@ from drivenosc import (
     DomainError,
     GridSpec,
     OscillatorParams,
+    PulseForcing,
     SinusoidForcing,
+    TabulatedForcing,
     WaveFunction,
     ZeroForcing,
     coherent_wavefunction,
@@ -34,6 +36,41 @@ from drivenosc.schrodinger import (
     phase_quotient_defect,
     position_expectation,
 )
+
+
+def strang_reference(params, spec, psi0, steps):
+    """Unfused Strang splitting over (start time, dt) steps: one scalar
+    evaluate at each midpoint, and two half potential multiplies per step."""
+    grid = psi0.grid
+    x = grid.x
+    v = 0.5 * params.m * params.omega**2 * x**2
+    vals = psi0.values.copy()
+    for t, h in steps:
+        half = np.exp(-0.5j * h * v) * np.exp(0.5j * h * spec.evaluate(t + 0.5 * h) * x)
+        kin = np.exp(-1j * h / (2.0 * params.m) * grid.wavenumbers**2)
+        vals = half * vals
+        vals = np.fft.ifft(kin * np.fft.fft(vals))
+        vals = half * vals
+    return vals
+
+
+class RecordingForcing:
+    """Delegates to a spec and records every time it is evaluated at."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.times = []
+
+    def evaluate(self, t):
+        self.times.extend(np.atleast_1d(t).tolist())
+        return self.spec.evaluate(t)
+
+    def vanishes(self, t0, t1):
+        return self.spec.vanishes(t0, t1)
+
+
+def l2_gap(grid, a, b):
+    return math.sqrt(float(np.sum(np.abs(a - b) ** 2)) * grid.dx)
 
 
 def random_state(params, grid, rng, n_modes=7):
@@ -181,6 +218,58 @@ class TestEvolution:
         # strong constant push drives the packet off this small grid
         with pytest.raises(BoundaryError):
             evolve_lab(params11, ConstantForcing(30.0), psi0, 3.0)
+
+
+class TestFusedStepper:
+    # 600 steps of 0.01 from t0 = 0.37, then a 0.005 remainder step: blocks
+    # [0.37, 2.93], [2.93, 5.49], [5.49, 6.37] and [6.37, 6.375].  The pulse
+    # is off over the first and the last block and has an edge inside each
+    # of the other two; the table ends inside the third block.
+    T0, DT, N_FULL, REMAINDER = 0.37, 0.01, 600, 0.005
+
+    @pytest.mark.parametrize("points", [64, 256, 1024, 4096])
+    @pytest.mark.parametrize("spec, free_blocks", [
+        (ZeroForcing(), 4),
+        (ConstantForcing(0.8), 0),
+        (SinusoidForcing(0.7, 1.3, 0.2), 0),
+        (TabulatedForcing(((0.0, 0.0), (1.0, 0.8), (2.5, -0.4), (4.0, 0.6), (5.5, 0.0))), 1),
+        (PulseForcing(1.0, 3.5, 5.9), 2),
+    ], ids=["zero", "constant", "sinusoid", "table", "pulse"])
+    def test_matches_unfused_strang(self, params11, points, spec, free_blocks):
+        grid = GridSpec(-10.0, 10.0, points, self.DT)
+        psi0 = coherent_wavefunction(params11, 0.5, 0.3, grid)
+        recording = RecordingForcing(spec)
+        t_final = self.T0 + self.N_FULL * self.DT + self.REMAINDER
+        out = evolve_lab(params11, recording, psi0, t_final, t0=self.T0)
+
+        steps = [(self.T0 + j * self.DT, self.DT) for j in range(self.N_FULL)]
+        steps.append((self.T0 + self.N_FULL * self.DT, self.REMAINDER))
+        ref = strang_reference(params11, spec, psi0, steps)
+        assert l2_gap(grid, out.values, ref) <= 1e-12
+
+        # every step of a block where k may be nonzero is read once, at its
+        # midpoint; a force-free block reads none
+        blocks = [steps[i:min(i + 256, self.N_FULL)] for i in range(0, self.N_FULL, 256)]
+        blocks.append(steps[-1:])
+        driven = [b for b in blocks if not spec.vanishes(b[0][0], b[-1][0] + b[-1][1])]
+        assert len(blocks) - len(driven) == free_blocks
+        assert len(recording.times) == len(set(recording.times))
+        np.testing.assert_allclose(recording.times, [t + 0.5 * h for b in driven for t, h in b],
+                                   rtol=0.0, atol=1e-12)
+
+    def test_boundary_error_carries_the_whole_step_state(self, params11):
+        grid = GridSpec(-6.0, 6.0, 256, 1e-3)
+        psi0 = coherent_wavefunction(params11, 0.0, 0.0, grid)
+        spec = ConstantForcing(6.0)
+        # the third boundary check, after 768 steps, fires; partial is the
+        # reference state there, so the block's closing half step was applied
+        with pytest.raises(BoundaryError) as err:
+            evolve_lab(params11, spec, psi0, 3.123, t0=0.123)
+        assert str(err.value).startswith("evolution at t=0.891: ")
+        partial = err.value.partial
+        steps = [(0.123 + j * grid.dt, grid.dt) for j in range(768)]
+        assert l2_gap(grid, partial.values, strang_reference(params11, spec, psi0, steps)) <= 1e-12
+        assert abs(partial.norm() - 1.0) < 1e-12
 
 
 class TestFrameMaps:
