@@ -43,7 +43,6 @@ from .schrodinger import (
     eigenstate_wavefunction,
     energy_expectation,
     evolve_lab,
-    evolve_moving,
     lab_to_moving,
     momentum_representation,
     moving_to_lab,
@@ -89,7 +88,6 @@ __all__ = [
     "energy_expectation",
     "evolve",
     "evolve_lab",
-    "evolve_moving",
     "forcing_from_dict",
     "gauss_hermite_rule",
     "gaussian_integral",

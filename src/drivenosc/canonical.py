@@ -189,4 +189,4 @@ def build_frame(params: OscillatorParams, spec: ForcingSpec, t_max: float) -> Ca
     the state at every panel edge."""
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
-    return CanonicalFrame(params, spec, *_walk(params, spec, 0.0, t_max, 0.0, 0.0, 0.0))
+    return CanonicalFrame(params, spec, *_walk(params, spec, t_max))

@@ -13,7 +13,7 @@ exported here.
 
 This module owns the one response kernel, ``_panels``: it carries
 (x, p, J = integral_0^t x k ds) across 15-point Kronrod panels, exact to
-rounding.  ``_walk`` chains it over [t0, t1] and ``_resume`` reads the
+rounding.  ``_walk`` chains it over [0, t1] and ``_resume`` reads the
 state at any batch of times from a walk's stored edges.  ``evolve``,
 ``nonhomogeneous`` and the canonical frame all run on it.  ``_duhamel``
 integrates the convolution directly by adaptive Gauss-Kronrod, with no
@@ -167,20 +167,19 @@ def _panels(params: OscillatorParams, spec: ForcingSpec, a: np.ndarray, b: np.nd
     return x_b, p_b, half * ((x_u * k) @ _KRONROD_WEIGHTS)
 
 
-def _walk(params: OscillatorParams, spec: ForcingSpec, t0: float, t1: float,
-          x0: float, p0: float, j0: float):
-    """Panel edges of [t0, t1], which panels k is live on, and (x, p, J) of
-    the response at each edge, from (x0, p0, j0) at t0, where p = m xdot
-    and J(t) = integral_0^t x k ds.
+def _walk(params: OscillatorParams, spec: ForcingSpec, t1: float):
+    """Panel edges of [0, t1], which panels k is live on, and (x, p, J) of
+    the response at each edge, from rest at t = 0, where p = m xdot and
+    J(t) = integral_0^t x k ds.
 
-    Panel edges are t0, t1, the kinks of k and splits to ``_panel_len``;
+    Panel edges are 0, t1, the kinks of k and splits to ``_panel_len``;
     a span where k vanishes is one panel, not live.  ``live[i]`` is for
     the panel that starts at edge i, and the last edge, which starts none,
     is not live.  ``_panels`` crosses the panels in blocks of ``_CHUNK``.
     More than ``_PANEL_BUDGET`` splits, or a state that leaves the floats,
     raises NumericError.
     """
-    pts = np.union1d([t0, t1], spec.breakpoints(t0, t1))
+    pts = np.union1d([0.0, t1], spec.breakpoints(0.0, t1))
     lengths = np.diff(pts)
     quiet = np.array([spec.vanishes(a, b) for a, b in zip(pts[:-1], pts[1:])], dtype=bool)
     with np.errstate(over="ignore"):  # an overflow is an infinite count
@@ -196,8 +195,7 @@ def _walk(params: OscillatorParams, spec: ForcingSpec, t0: float, t1: float,
     edges = np.append(pts[seg] + lengths[seg] * step / counts[seg], pts[-1])
     live = np.append(~quiet[seg], False)
 
-    xs, ps, js = (np.empty(len(edges)) for _ in range(3))
-    xs[0], ps[0], js[0] = x0, p0, j0
+    xs, ps, js = (np.zeros(len(edges)) for _ in range(3))  # from rest at edges[0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked per block
         for lo in range(0, len(edges) - 1, _CHUNK):
             hi = min(lo + _CHUNK, len(edges) - 1)
@@ -238,7 +236,7 @@ def nonhomogeneous(params: OscillatorParams, spec: ForcingSpec, t: float) -> Pha
     moving frame's center."""
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"the response needs finite t >= 0, got {t!r}")
-    _, _, xs, ps, _ = _walk(params, spec, 0.0, t, 0.0, 0.0, 0.0)
+    _, _, xs, ps, _ = _walk(params, spec, t)
     return PhaseState(float(xs[-1]), float(ps[-1]))
 
 

@@ -42,15 +42,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """One line per row tuple, each value as %.17g."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(line % row)
 
 
 def _times(scn: Scenario) -> np.ndarray:
@@ -66,13 +64,14 @@ def cmd_classical(scn: Scenario, out_dir: Path) -> list[Path]:
     z_nh = np.stack([x_nh, scn.params.m * xdot_nh], axis=1)
     z = classical.propagator(scn.params, times) @ scn.initial_state.as_array() + z_nh
     rel = z - z_nh
-    if not np.all(np.isfinite(rel)):
-        i = int(np.argmin(np.all(np.isfinite(rel), axis=1)))
-        x, p = rel[i].tolist()
-        raise DomainError(f"phase-space point must be finite, got ({x!r}, {p!r}) "
-                          f"at t={times[i]:.17g}")
     m, w = scn.params.m, scn.params.omega
-    invariant = 0.5 * (m * w**2 * rel[:, 0] ** 2 + rel[:, 1] ** 2 / m)  # quadratic_invariant's form
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rel makes it non-finite
+        invariant = 0.5 * (m * w**2 * rel[:, 0] ** 2 + rel[:, 1] ** 2 / m)  # quadratic_invariant's form
+    if not np.all(np.isfinite(invariant)):
+        i = int(np.argmin(np.isfinite(invariant)))
+        x, p = rel[i].tolist()
+        raise DomainError(f"phase-space point must be finite, with a finite invariant, "
+                          f"got ({x!r}, {p!r}) at t={times[i]:.17g}")
     path = out_dir / "trajectory.csv"
     _write_csv(path, ["t", "x", "p", "x_nh", "p_nh", "invariant"],
                zip(times.tolist(), *z.T.tolist(), *z_nh.T.tolist(), invariant.tolist()))
@@ -141,12 +140,12 @@ def cmd_evolve_pde(scn: Scenario, out_dir: Path) -> list[Path]:
         if t > t_prev:
             psi = schrodinger.evolve_lab(scn.params, scn.forcing, psi, t, t0=t_prev)
             t_prev = t
-        log_rows.append((
-            t,
-            psi.norm(),
-            schrodinger.energy_expectation(scn.params, psi, scn.forcing, t),
-            abs(schrodinger.overlap(ground, psi)) ** 2,
-        ))
+        row = (t, psi.norm(), schrodinger.energy_expectation(scn.params, psi, scn.forcing, t),
+               abs(schrodinger.overlap(ground, psi)) ** 2)
+        if not all(map(math.isfinite, row)):
+            raise NumericError(f"evolve-pde: (norm, energy, overlap_ground) = {row[1:]} is not "
+                               f"finite at t={t:.17g}", partial=psi)
+        log_rows.append(row)
     log_path = out_dir / "evolution.csv"
     _write_csv(log_path, ["t", "norm", "energy", "overlap_ground"], log_rows)
     state_path = out_dir / "final_state.csv"

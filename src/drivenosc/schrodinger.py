@@ -38,8 +38,9 @@ once.
 
 Shifts are applied in the momentum representation (exact for band-limited
 states).  These two maps intertwine the driven and unforced evolutions:
-lab_to_moving(evolve_lab(psi, t), t) equals evolve_moving(psi, t), which
-is the central covariance property the test suite drives.
+lab_to_moving(evolve_lab(psi, t), t) equals the unforced evolution of psi,
+sum_n c_n e^{-i E_n t} phi_n for psi = sum_n c_n phi_n, which is the
+central covariance property the test suite drives.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ import numpy as np
 
 from .canonical import CanonicalFrame, _phase_to_lab, _phase_to_moving
 from .classical import OscillatorParams
-from .errors import BoundaryError, DomainError
-from .forcing import ForcingSpec, ZeroForcing
+from .errors import BoundaryError, DomainError, NumericError
+from .forcing import ForcingSpec
 from .hermite import eigenstate
 
 _BOUNDARY_FRACTION = 0.05
@@ -135,8 +136,10 @@ class WaveFunction:
 
 
 def _check_boundary(psi: WaveFunction, context: str) -> None:
-    mass = psi.boundary_mass()
-    if mass > _BOUNDARY_MASS * max(psi.norm() ** 2, 1e-30):
+    mass, total = psi.boundary_mass(), psi.norm() ** 2
+    if not (math.isfinite(mass) and math.isfinite(total)):
+        raise NumericError(f"{context}: the state is not finite", partial=psi)
+    if mass > _BOUNDARY_MASS * max(total, 1e-30):
         raise BoundaryError(
             f"{context}: boundary region holds mass {mass:.3e}; "
             "enlarge the grid", partial=psi,
@@ -255,12 +258,6 @@ def _strang_block(params: OscillatorParams, spec: ForcingSpec, vals: np.ndarray,
             np.fft.fft(vals, out=spectrum)
             spectrum *= kin
             np.fft.ifft(spectrum, out=vals)
-
-
-def evolve_moving(params: OscillatorParams, phi0: WaveFunction, t_final: float,
-                  t0: float = 0.0) -> WaveFunction:
-    """Unforced evolution (the moving-frame Hamiltonian)."""
-    return evolve_lab(params, ZeroForcing(), phi0, t_final, t0=t0)
 
 
 def moving_to_lab(frame: CanonicalFrame, phi: WaveFunction, t: float) -> WaveFunction:

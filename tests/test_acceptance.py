@@ -25,7 +25,6 @@ from drivenosc import (
     eigenstate_wavefunction,
     evolve,
     evolve_lab,
-    evolve_moving,
     gauss_hermite_rule,
     gaussian_integral,
     ground_state_survival,
@@ -279,7 +278,7 @@ def _se3_defect(params, spec, t_final, dt, frame, seed):
     psi0 = WaveFunction(grid, vals).normalized()
     lab = evolve_lab(params, spec, psi0, t_final)
     via = lab_to_moving(frame, lab, t_final)
-    direct = evolve_moving(params, psi0, t_final)
+    direct = evolve_lab(params, ZeroForcing(), psi0, t_final)
     return phase_quotient_defect(via, direct)
 
 

@@ -28,7 +28,7 @@ from drivenosc import (
     propagator,
     quadratic_invariant,
 )
-from drivenosc import cli
+from drivenosc import cli, schrodinger
 from drivenosc.canonical import CanonicalFrame, build_frame
 from drivenosc.cli import main
 from drivenosc.scenario import REPORT_SCHEMA, SCENARIO_SCHEMA, Scenario
@@ -45,6 +45,20 @@ def write_scenario(tmp_path, name="scn.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, outside pytest's warning filters."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "drivenosc.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def all_finite_csv(path):
+    _, rows = read_csv(path)
+    return bool(np.all(np.isfinite(rows)))
 
 
 def read_csv(path):
@@ -164,6 +178,18 @@ class TestClassicalCommand:
             assert main(["classical", "--scenario", str(scn), "--out", str(tmp_path)]) == 2
         assert "phase-space point must be finite" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_overflowing_invariant_is_a_config_error(self, tmp_path):
+        # x - x_nh and p - p_nh are finite, but 0.5 m w^2 x^2 is not
+        scn = write_scenario(tmp_path, forcing={"type": "zero"},
+                             initial_state={"x": 1e200, "p": 1e200},
+                             time={"t_max": 1.0, "samples": 5})
+        proc = run_cli("classical", "--scenario", str(scn), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "at t=0" in proc.stderr
+        out = tmp_path / "trajectory.csv"
+        assert not out.exists() or all_finite_csv(out)
 
     def test_slow_oscillator_traces_wide_ellipse(self, tmp_path):
         w = 2 * math.pi / 100
@@ -411,6 +437,20 @@ class TestEvolvePdeCommand:
         )
         assert main(["evolve-pde", "--scenario", str(scn), "--out", str(tmp_path)]) == 3
 
+    def test_overflowing_table_is_a_numeric_failure(self, tmp_path):
+        # k overflows between the knots: the t = 0 energy and every later
+        # state are not finite
+        scn = write_scenario(tmp_path, forcing={
+            "type": "tabulated", "samples": [[0.0, -1.7e308], [1.0, 1.7e308]]},
+            time={"t_max": 1.0, "samples": 5})
+        proc = run_cli("evolve-pde", "--scenario", str(scn), "--out", str(tmp_path))
+        assert proc.returncode == 3
+        assert "numerical failure" in proc.stderr
+        assert "not finite at t=" in proc.stderr
+        for name in ("evolution.csv", "final_state.csv"):
+            out = tmp_path / name
+            assert not out.exists() or all_finite_csv(out)
+
 
 class TestNonFiniteScenario:
     def test_infinite_grid_edge_is_a_config_error(self, tmp_path):
@@ -486,6 +526,23 @@ class TestVerifyCommand:
         assert report["all_pass"] is True
         assert len(report["checks"]) >= 15
         assert all(c["status"] == "pass" for c in report["checks"])
+
+    def test_grid_solver_runs_only_on_the_driven_side(self, tmp_path, monkeypatch):
+        # the unforced side of both covariance checks is the exact
+        # e^{-i E_n t} phase per mode: three driven runs and nothing else
+        calls = []
+        evolve_lab = schrodinger.evolve_lab
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return evolve_lab(*args, **kwargs)
+
+        monkeypatch.setattr(schrodinger, "evolve_lab", counted)
+        scn = tmp_path / "default.json"
+        scn.write_text(json.dumps(Scenario.default().to_dict()))
+        assert main(["verify", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 3
+        assert all(spec == Scenario.default().forcing for spec in calls)
 
     def test_coarse_timestep_fails_covariance(self, tmp_path):
         scn = write_scenario(

@@ -8,6 +8,7 @@ from drivenosc import (
     ConstantForcing,
     DomainError,
     GridSpec,
+    NumericError,
     OscillatorParams,
     PulseForcing,
     SinusoidForcing,
@@ -20,7 +21,6 @@ from drivenosc import (
     energy_expectation,
     evolve,
     evolve_lab,
-    evolve_moving,
     lab_to_moving,
     momentum_representation,
     moving_to_lab,
@@ -36,6 +36,7 @@ from drivenosc.schrodinger import (
     phase_quotient_defect,
     position_expectation,
 )
+from drivenosc.verify import _random_modes
 
 
 def strang_reference(params, spec, psi0, steps):
@@ -175,19 +176,19 @@ class TestEvolution:
         grid = GridSpec.default(params11, dt=2e-4)
         phi0 = coherent_wavefunction(params11, 1.0, 0.5, grid)
         e0 = energy_expectation(params11, phi0)
-        e1 = energy_expectation(params11, evolve_moving(params11, phi0, 2.0))
+        e1 = energy_expectation(params11, evolve_lab(params11, ZeroForcing(), phi0, 2.0))
         assert abs(e1 - e0) < 1e-8
 
     def test_ground_state_picks_up_half_quantum_phase(self, params11, default_grid):
         psi0 = eigenstate_wavefunction(params11, 0, default_grid)
-        out = evolve_moving(params11, psi0, 1.5)
+        out = evolve_lab(params11, ZeroForcing(), psi0, 1.5)
         expected = np.exp(-1j * 0.5 * params11.omega * 1.5)
         got = overlap(psi0, out)
         assert abs(got - expected) < 1e-6
 
     def test_coherent_center_follows_classical_orbit(self, params11, default_grid):
         phi0 = coherent_wavefunction(params11, 1.0, 0.5, default_grid)
-        out = evolve_moving(params11, phi0, 2.0)
+        out = evolve_lab(params11, ZeroForcing(), phi0, 2.0)
         z = evolve(params11, PhaseState(1.0, 0.5), ZeroForcing(), 2.0)
         assert abs(position_expectation(out) - z.x) < 1e-5
         assert abs(momentum_expectation(out) - z.p) < 1e-5
@@ -211,6 +212,12 @@ class TestEvolution:
             params11, 0, default_grid).values)
         with pytest.raises(DomainError):
             evolve_lab(params11, ZeroForcing(), psi, 1.0)
+
+    def test_non_finite_state_is_a_numeric_error(self, params11, default_grid):
+        psi = WaveFunction(default_grid, np.full(default_grid.points, np.nan))
+        with pytest.raises(NumericError, match="initial state: the state is not finite") as info:
+            evolve_lab(params11, ZeroForcing(), psi, 1.0)
+        assert not isinstance(info.value, BoundaryError)
 
     def test_boundary_contamination_detected(self, params11):
         grid = GridSpec(-6.0, 6.0, 256, 1e-3)
@@ -357,7 +364,7 @@ class TestEvolutionCovariance:
         rng = np.random.default_rng(45)
         psi0 = random_state(params11, default_grid, rng, n_modes=5)
         via = lab_to_moving(fr, evolve_lab(params11, spec, psi0, t), t)
-        direct = evolve_moving(params11, psi0, t)
+        direct = evolve_lab(params11, ZeroForcing(), psi0, t)
         assert phase_quotient_defect(via, direct) < 1e-4
 
     def test_lab_frame_image_of_unforced_evolution(self, params11, default_grid):
@@ -366,9 +373,22 @@ class TestEvolutionCovariance:
         fr = build_frame(params11, spec, t)
         rng = np.random.default_rng(46)
         psi0 = random_state(params11, default_grid, rng, n_modes=5)
-        via = moving_to_lab(fr, evolve_moving(params11, psi0, t), t)
+        via = moving_to_lab(fr, evolve_lab(params11, ZeroForcing(), psi0, t), t)
         direct = evolve_lab(params11, spec, psi0, t)
         assert phase_quotient_defect(via, direct) < 1e-4
+
+    def test_exact_eigen_phases_match_unforced_stepping(self):
+        # verify's unforced reference sum_n c_n e^{-i E_n t} phi_n is the
+        # state the split-operator solver reaches with no force, phase and
+        # sign included (e^{+i E_n t} would put the gap above 1)
+        params = OscillatorParams(1.3, 0.8)
+        grid = GridSpec.default(params, dt=1e-3)
+        t = math.pi
+        psi0, exact = _random_modes(params, grid, np.random.default_rng(47), 5, t)
+        assert np.array_equal(psi0.values,
+                              random_state(params, grid, np.random.default_rng(47), 5).values)
+        stepped = evolve_lab(params, ZeroForcing(), psi0, t)
+        assert l2_gap(grid, exact.values, stepped.values) < 1e-6
 
     @pytest.mark.parametrize("params, spec, n", [
         (OscillatorParams(1.0, 1.0), SinusoidForcing(1.0, 2.0, 0.0), 0),
