@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +247,8 @@ def main(argv=None) -> int:
         outcomes = [_run_one(args.command, s, args.out, suite, subdir)
                     for s in scenarios]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # costs import time; only --jobs > 1
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_one, args.command, s, args.out, suite, subdir)
                        for s in scenarios]

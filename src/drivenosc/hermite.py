@@ -11,7 +11,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .classical import OscillatorParams
 from .errors import DomainError
@@ -134,6 +133,8 @@ def gauss_hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     Golub-Welsch nodes; weights e^{-x^2} / (order psi_{order-1}(x)^2), which
     unlike squared eigenvector components keep full relative accuracy.
     """
+    from scipy.linalg import eigh_tridiagonal  # loaded only where the oracle runs
+
     if order != int(order) or order < 1:
         raise DomainError(f"rule order must be a positive integer, got {order!r}")
     if order > _MAX_RULE_ORDER:

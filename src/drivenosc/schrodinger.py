@@ -291,10 +291,11 @@ def energy_expectation(params: OscillatorParams, psi: WaveFunction,
                        spec: ForcingSpec | None = None, t: float = 0.0) -> float:
     """<psi, H psi> with the driving term included when spec is given."""
     x = psi.grid.x
-    v = 0.5 * params.m * params.omega**2 * x * x
-    if spec is not None:
-        v = v - x * spec.evaluate(t)
-    pot = float(np.sum(v * np.abs(psi.values) ** 2) * psi.grid.dx)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check the result is finite
+        v = 0.5 * params.m * params.omega**2 * x * x
+        if spec is not None:
+            v = v - x * spec.evaluate(t)
+        pot = float(np.sum(v * np.abs(psi.values) ** 2) * psi.grid.dx)
     return kinetic_expectation(params, psi) + pot
 
 

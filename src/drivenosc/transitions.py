@@ -29,11 +29,11 @@ generating-function k-sum, which cancels catastrophically, so is not used;
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .canonical import CanonicalFrame
 from .classical import OscillatorParams
@@ -96,6 +96,14 @@ def _valid_row(probs) -> bool:
     return bool(np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)) and p.sum() <= 1.0 + 1e-10)
 
 
+@functools.lru_cache(maxsize=32)
+def _log_factorials(m_stop: int) -> np.ndarray:
+    """log m! for m = 0 .. m_stop-1, read-only since calls share it."""
+    table = np.array([math.lgamma(m + 1) for m in range(m_stop)])
+    table.flags.writeable = False
+    return table
+
+
 def _laguerre_column(n: int, lam: float, m_stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign and log |A(n, m)| (the Laguerre form above) for m = 0 .. m_stop-1."""
     m = np.arange(m_stop)
@@ -120,7 +128,7 @@ def _laguerre_column(n: int, lam: float, m_stop: int) -> tuple[np.ndarray, np.nd
     with np.errstate(divide="ignore"):  # an exact zero of L has log -inf
         log_mag = scale + np.log(np.abs(lag)) + gap * (0.5 * math.log(lam)) - 0.5 * lam
     # log(lo!/hi!) = -|log m! - log n!|, since log m! does not decrease in m
-    return np.sign(lag), log_mag - 0.5 * np.abs(gammaln(m + 1) - gammaln(n + 1))
+    return np.sign(lag), log_mag - 0.5 * np.abs(_log_factorials(m_stop) - math.lgamma(n + 1))
 
 
 def overlap_amplitude(n: int, m: int, d: DisplacementParams) -> complex:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import canonical, classical, hermite, schrodinger, transitions
 from .classical import OscillatorParams, PhaseState
@@ -121,6 +120,8 @@ def check_form_conjugation(ctx) -> float:
 def _rk_reference(params, spec, z0, t):
     """Independent oracle: direct Runge-Kutta integration of the equations
     of motion, split at forcing breakpoints."""
+    from scipy.integrate import solve_ivp  # loaded only where the oracle runs
+
     def rhs(s, z):
         return [z[1] / params.m,
                 -params.m * params.omega**2 * z[0] + spec.evaluate(s)]

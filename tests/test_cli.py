@@ -47,13 +47,19 @@ def write_scenario(tmp_path, name="scn.json", **overrides):
     return path
 
 
-def run_cli(*args):
-    """Run the CLI in a fresh interpreter, outside pytest's warning filters."""
+def run_python(*args):
+    """Run Python in a fresh interpreter that imports this drivenosc,
+    outside pytest's warning filters."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "drivenosc.cli", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, outside pytest's warning filters."""
+    return run_python("-m", "drivenosc.cli", *args)
 
 
 def all_finite_csv(path):
@@ -451,6 +457,17 @@ class TestEvolvePdeCommand:
             out = tmp_path / name
             assert not out.exists() or all_finite_csv(out)
 
+    def test_overflowing_energy_prints_only_the_failure_line(self, tmp_path):
+        # the t = 0 potential overflows; no numpy warning precedes the message
+        scn = write_scenario(tmp_path, forcing={
+            "type": "tabulated", "samples": [[0.0, -1.7e308], [1.0, 1.7e308]]},
+            time={"t_max": 1.0, "samples": 5})
+        proc = run_cli("evolve-pde", "--scenario", str(scn), "--out", str(tmp_path))
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{scn}: numerical failure: ")
+
 
 class TestNonFiniteScenario:
     def test_infinite_grid_edge_is_a_config_error(self, tmp_path):
@@ -612,6 +629,46 @@ class TestVerifyCommand:
         assert main(["classical"]) == 2
 
 
+_SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+scenario, out, report = sys.argv[1:]
+seen = {}
+import drivenosc
+seen["import drivenosc"] = [0, scipy_modules()]
+import drivenosc.cli
+seen["import drivenosc.cli"] = [0, scipy_modules()]
+for command in ("classical", "transitions", "survival", "evolve-pde", "verify"):
+    code = drivenosc.cli.main([command, "--scenario", scenario, "--out", out])
+    seen[command] = [code, scipy_modules()]
+with open(report, "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+class TestColdStart:
+    def test_scipy_loads_only_where_an_oracle_runs(self, tmp_path):
+        scn = write_scenario(
+            tmp_path,
+            forcing={"type": "sinusoid", "A": 1.0, "Omega": 2.0, "phi": 0.0},
+            time={"t_max": math.pi, "samples": 9},
+        )
+        report = tmp_path / "seen.json"
+        proc = run_python("-c", _SCIPY_PROBE, str(scn), str(tmp_path / "out"), str(report))
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(report.read_text())
+        for step in ("import drivenosc", "import drivenosc.cli",
+                     "classical", "transitions", "survival", "evolve-pde"):
+            assert seen[step] == [0, []], step
+        # verify still runs both scipy oracles: DOP853 and the Golub-Welsch rule
+        code, loaded = seen["verify"]
+        assert code == 0
+        assert {"scipy.integrate", "scipy.linalg"} <= set(loaded)
+
+
 class TestDeterminismAndJobs:
     def test_outputs_bit_stable(self, tmp_path):
         scn = write_scenario(tmp_path, forcing={"type": "sinusoid", "A": 0.8,
@@ -649,7 +706,7 @@ class TestDeterminismAndJobs:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         paths = [write_scenario(tmp_path, name=f"s{i}.json", forcing={"type": "zero"},
                                 time={"t_max": 1.0, "samples": 2})

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
@@ -20,6 +21,7 @@ from drivenosc import (
     transition_probability,
 )
 from drivenosc.canonical import build_frame
+from drivenosc.transitions import _laguerre_column, _log_factorials
 
 
 def poisson(lam, m):
@@ -233,6 +235,24 @@ def laguerre_probabilities(n, m, lam):
         return np.exp(log_pref + 2.0 * np.log(np.abs(eval_genlaguerre(lo, hi - lo, lam))))
 
 
+def mpmath_log_magnitudes(n, lam, m_stop):
+    """log |A(n, m)| for m = 0 .. m_stop-1 at 160 digits, L_lo^{(hi-lo)}
+    summed term by term from its power series: shares no step with the
+    degree recurrence or with the double-precision factorials."""
+    out = []
+    with mpmath.workdps(160):  # the series cancels by ~10^54 at n 100, lam 80
+        x = mpmath.mpf(lam)
+        for m in range(m_stop):
+            lo, hi = min(n, m), max(n, m)
+            term = total = mpmath.binomial(hi, lo)
+            for i in range(lo):
+                term = term * -x * (lo - i) / ((i + 1) * (hi - lo + i + 1))
+                total += term
+            out.append(0.5 * (mpmath.loggamma(lo + 1) - mpmath.loggamma(hi + 1))
+                       + 0.5 * (hi - lo) * mpmath.log(x) - x / 2 + mpmath.log(abs(total)))
+    return np.array([float(v) for v in out])
+
+
 def displacement(lam, angle):
     r = math.sqrt(2.0 * lam)
     return DisplacementParams(r * math.cos(angle), r * math.sin(angle))
@@ -249,6 +269,26 @@ class TestHighQuantumNumbers:
                 ref = laguerre_probabilities(n, np.arange(m_stop), d.poisson_mean())
                 assert np.max(np.abs(probs - ref)) < 1e-12
                 assert abs(probs.sum() - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("n, lam", [(0, 80.0), (7, 15.4), (30, 0.5), (100, 80.0),
+                                        (300, 1e-3), (300, 15.4)])
+    def test_log_magnitudes_match_mpmath_across_the_column(self, n, lam):
+        _, log_mag = _laguerre_column(n, lam, 501)
+        exact = mpmath_log_magnitudes(n, lam, 501)
+        # the form adds terms as large as log hi! and lam / 2, so its
+        # rounding is relative to their size
+        hi = np.maximum(np.arange(501), n)
+        scale = 1.0 + lam + np.array([math.lgamma(k + 1) for k in hi])
+        assert np.max(np.abs(log_mag - exact) / scale) < 2e-14
+
+    def test_log_factorials_match_mpmath_and_are_read_only(self):
+        table = _log_factorials(501)
+        exact = np.array([float(mpmath.loggamma(m + 1)) for m in range(501)])
+        assert np.max(np.abs(table - exact) / np.maximum(1.0, exact)) < 2e-14
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[3] = 0.0
+        assert _log_factorials(501) is table
 
     def test_matches_order_200_quadrature_oracle(self):
         rng = np.random.default_rng(41)
