@@ -50,14 +50,11 @@ from .schrodinger import (
 )
 from .transitions import (
     DisplacementParams,
-    OracleResult,
     TransitionRow,
-    ground_state_survival,
     overlap_amplitude,
     overlap_by_quadrature,
     probability_column,
     probability_row,
-    transition_probability,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +68,6 @@ __all__ = [
     "ForcingSpec",
     "GridSpec",
     "NumericError",
-    "OracleResult",
     "OscillatorParams",
     "PhaseState",
     "PulseForcing",
@@ -92,7 +88,6 @@ __all__ = [
     "gauss_hermite_rule",
     "gaussian_integral",
     "generating_function_partial",
-    "ground_state_survival",
     "hermite_poly",
     "lab_to_moving",
     "laboratory_ellipse",
@@ -107,5 +102,4 @@ __all__ = [
     "propagator",
     "quadratic_form_matrix",
     "quadratic_invariant",
-    "transition_probability",
 ]

@@ -6,13 +6,13 @@ is smooth except at the finitely many kinks listed by ``breakpoints``
 (pulse edges, table knots), where the integration routines split;
 ``vanishes`` tells where k is zero, which the response walk steps over.
 
-``evaluate`` takes one time or an ndarray of times.  Each variant has a
-scalar ``_value``, which the oracles call point by point, and a numpy
-``_values``, which the response walk and the frame reads call once per
-block.
+``evaluate`` takes one time or an ndarray of times.  Each variant has one
+kernel, ``_values``, plain numpy arithmetic that takes either: the
+response walk and the frame reads call it once per block, the oracles
+point by point.
 
-All specs are frozen dataclasses: immutable, hashable, safe to share
-between threads, and serializable to a small JSON object.
+All specs are frozen dataclasses: immutable, hashable and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ class ForcingSpec:
             return self._values(t)
         if not math.isfinite(t):
             raise DomainError(f"time must be finite, got {t!r}")
-        return self._value(t)
+        return float(self._values(t))
 
-    def _value(self, t: float) -> float:
-        raise NotImplementedError
-
-    def _values(self, t: np.ndarray) -> np.ndarray:
+    def _values(self, t):
+        """k at a float or elementwise over an ndarray, as float64."""
         raise NotImplementedError
 
     def breakpoints(self, t0: float, t1: float) -> tuple[float, ...]:
@@ -69,40 +67,25 @@ class ForcingSpec:
         """
         return 0.0
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ZeroForcing(ForcingSpec):
-    def _value(self, t):
-        return 0.0
-
     def _values(self, t):
-        return np.zeros(t.shape)
+        return 0.0 * t + 0.0  # 0.0 * t alone is -0.0 at a negative t
 
     def vanishes(self, t0, t1):
         return True
-
-    def to_dict(self):
-        return {"type": "zero"}
 
 
 @dataclass(frozen=True)
 class ConstantForcing(ForcingSpec):
     K: float
 
-    def _value(self, t):
-        return self.K
-
     def _values(self, t):
-        return np.full(t.shape, float(self.K))
+        return self.K + 0.0 * t
 
     def vanishes(self, t0, t1):
         return self.K == 0.0
-
-    def to_dict(self):
-        return {"type": "constant", "K": self.K}
 
 
 @dataclass(frozen=True)
@@ -113,9 +96,6 @@ class SinusoidForcing(ForcingSpec):
     Omega: float
     phi: float = 0.0
 
-    def _value(self, t):
-        return self.A * math.cos(self.Omega * t + self.phi)
-
     def _values(self, t):
         return self.A * np.cos(self.Omega * t + self.phi)
 
@@ -124,9 +104,6 @@ class SinusoidForcing(ForcingSpec):
 
     def oscillation_rate(self):
         return abs(self.Omega)
-
-    def to_dict(self):
-        return {"type": "sinusoid", "A": self.A, "Omega": self.Omega, "phi": self.phi}
 
 
 @dataclass(frozen=True)
@@ -141,20 +118,15 @@ class PulseForcing(ForcingSpec):
         if not (self.t_on < self.t_off):
             raise DomainError(f"pulse needs t_on < t_off, got [{self.t_on}, {self.t_off}]")
 
-    def _value(self, t):
-        return self.K if self.t_on <= t < self.t_off else 0.0
-
     def _values(self, t):
-        return np.where((self.t_on <= t) & (t < self.t_off), float(self.K), 0.0)
+        # + 0.0 makes an integer K float and the -0.0 of a negative K off the pulse 0.0
+        return self.K * ((self.t_on <= t) & (t < self.t_off)) + 0.0
 
     def breakpoints(self, t0, t1):
         return tuple(p for p in (self.t_on, self.t_off) if t0 < p < t1)
 
     def vanishes(self, t0, t1):
         return self.K == 0.0 or t1 <= self.t_on or t0 >= self.t_off
-
-    def to_dict(self):
-        return {"type": "pulse", "K": self.K, "t_on": self.t_on, "t_off": self.t_off}
 
 
 @dataclass(frozen=True)
@@ -178,28 +150,9 @@ class TabulatedForcing(ForcingSpec):
         object.__setattr__(self, "_times", times)
         object.__setattr__(self, "_knots", np.array(samples).T)
 
-    def _value(self, t):
-        times = self._times
-        if t < times[0] or t > times[-1]:
-            return 0.0
-        i = bisect_right(times, t)
-        if i == len(times):
-            return self.samples[-1][1]
-        if i == 0:
-            return self.samples[0][1]
-        (t0, k0), (t1, k1) = self.samples[i - 1], self.samples[i]
-        if t == t0:
-            return k0
-        return k0 + (k1 - k0) * (t - t0) / (t1 - t0)
-
     def _values(self, t):
         times, ks = self._knots
-        i = np.clip(np.searchsorted(times, t, side="right"), 1, len(times) - 1)
-        t0, t1, k0, k1 = times[i - 1], times[i], ks[i - 1], ks[i]
-        with np.errstate(over="ignore", invalid="ignore"):  # masked below
-            k = k0 + (k1 - k0) * (t - t0) / (t1 - t0)
-        k = np.where(t == t0, k0, np.where(t == times[-1], ks[-1], k))
-        return np.where((t < times[0]) | (t > times[-1]), 0.0, k)
+        return np.interp(t, times, ks, left=0.0, right=0.0)
 
     def breakpoints(self, t0, t1):
         times = self._times
@@ -207,9 +160,6 @@ class TabulatedForcing(ForcingSpec):
 
     def vanishes(self, t0, t1):
         return t1 <= self._times[0] or t0 >= self._times[-1]
-
-    def to_dict(self):
-        return {"type": "tabulated", "samples": [[t, k] for t, k in self.samples]}
 
 
 _VARIANTS = {

@@ -17,7 +17,7 @@ import jsonschema
 
 from .classical import OscillatorParams, PhaseState
 from .errors import DomainError
-from .forcing import ForcingSpec, SinusoidForcing, forcing_from_dict
+from .forcing import ForcingSpec, forcing_from_dict
 from .schrodinger import GridSpec
 
 
@@ -75,19 +75,10 @@ class Scenario:
     grid: GridSpec | None = None
     output: str | None = None
 
-    def resolved_grid(self, dt: float = 1e-3) -> GridSpec:
+    def resolved_grid(self) -> GridSpec:
         if self.grid is not None:
             return self.grid
-        return GridSpec.default(self.params, dt=dt)
-
-    @classmethod
-    def default(cls) -> "Scenario":
-        return cls(
-            params=OscillatorParams(m=1.0, omega=1.0),
-            forcing=SinusoidForcing(A=1.0, Omega=2.0, phi=0.0),
-            t_max=3.141592653589793,
-            samples=65,
-        )
+        return GridSpec.default(self.params)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -127,19 +118,3 @@ class Scenario:
         except json.JSONDecodeError as exc:
             raise DomainError(f"scenario file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
-
-    def to_dict(self) -> dict:
-        data = {
-            "params": {"m": self.params.m, "omega": self.params.omega},
-            "forcing": self.forcing.to_dict(),
-            "time": {"t_max": self.t_max, "samples": self.samples},
-            "initial_state": {"x": self.initial_state.x, "p": self.initial_state.p},
-            "quantum": {"n_initial": self.n_initial, "m_max": self.m_max,
-                        "tail_tol": self.tail_tol},
-        }
-        if self.grid is not None:
-            data["grid"] = {"x_min": self.grid.x_min, "x_max": self.grid.x_max,
-                            "points": self.grid.points, "dt": self.grid.dt}
-        if self.output is not None:
-            data["output"] = self.output
-        return data

@@ -86,9 +86,6 @@ class TransitionRow:
         if not _valid_row(self.probabilities):
             raise DomainError("transition probabilities must lie in [0, 1] and sum to at most 1")
 
-    def total(self) -> float:
-        return sum(self.probabilities)
-
 
 def _valid_row(probs) -> bool:
     """Each entry in [0, 1] and the sum at most 1, up to rounding; NaN fails."""
@@ -148,36 +145,18 @@ def probability_column(n: int, d: DisplacementParams, m_stop: int) -> np.ndarray
     return probs
 
 
-def transition_probability(n: int, m: int, frame: CanonicalFrame, t: float) -> float:
-    """P(n -> m) at time t: squared overlap with the frame's displacement."""
-    d = DisplacementParams.from_frame(frame, t)
-    return abs(overlap_amplitude(n, m, d)) ** 2
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Quadrature value plus metadata about the rule that produced it."""
-
-    value: complex
-    order: int
-    warning: str | None = None
-
-
-def overlap_by_quadrature(n: int, m: int, d: DisplacementParams, order: int) -> OracleResult:
+def overlap_by_quadrature(n: int, m: int, d: DisplacementParams, order: int) -> complex:
     """The overlap integral evaluated directly by Gauss-Hermite quadrature.
 
     Completing the square in e^{-(x+a)^2/2} e^{-x^2/2} centres the weight:
     with y = x + a/2 the integrand becomes
     H_m(y+a/2) H_n(y-a/2) e^{-iyb} e^{ia b/2} e^{-a^2/4} against e^{-y^2},
     which an ``order``-point rule handles once order covers the polynomial
-    degree plus the oscillation of e^{-iyb}.  Shares no algebra with
-    overlap_amplitude - this is the oracle side of the pair.
+    degree plus the oscillation of e^{-iyb} (n + m + 10 points or more).
+    Shares no algebra with overlap_amplitude - this is the oracle side of
+    the pair.
     """
     n, m = _check_n(n), _check_n(m)
-    min_order = n + m + 10
-    warning = None
-    if order < min_order:
-        warning = f"order {order} below recommended minimum {min_order}; accuracy not certified"
     nodes, weights = gauss_hermite_rule(order)
     hm = hermite_poly(m, nodes + 0.5 * d.a)
     hn = hermite_poly(n, nodes - 0.5 * d.a)
@@ -190,7 +169,7 @@ def overlap_by_quadrature(n: int, m: int, d: DisplacementParams, order: int) -> 
         -0.5 * ((n + m) * math.log(2.0) + math.lgamma(n + 1) + math.lgamma(m + 1)
                 + math.log(math.pi))
     )
-    return OracleResult(value=acc * const * norm, order=order, warning=warning)
+    return acc * const * norm
 
 
 def probability_row(n: int, column: np.ndarray, tail_tol: float) -> TransitionRow:
@@ -208,9 +187,3 @@ def probability_row(n: int, column: np.ndarray, tail_tol: float) -> TransitionRo
         n=n, probabilities=tuple(column[:stop].tolist()),
         truncation_m=stop, tail_bound=max(0.0, 1.0 - float(cumulative[stop - 1])),
     )
-
-
-def ground_state_survival(frame: CanonicalFrame, t: float) -> float:
-    """P(0 -> 0) at time t: exp(-(a^2 + b^2)/2)."""
-    d = DisplacementParams.from_frame(frame, t)
-    return math.exp(-d.poisson_mean())

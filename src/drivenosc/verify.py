@@ -328,7 +328,7 @@ def check_amplitude_vs_quadrature(ctx) -> float:
         d = transitions.DisplacementParams(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
         closed = transitions.overlap_amplitude(n, m, d)
         oracle = transitions.overlap_by_quadrature(n, m, d, order=60)
-        worst = max(worst, abs(closed - oracle.value))
+        worst = max(worst, abs(closed - oracle))
     return worst
 
 

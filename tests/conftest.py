@@ -1,9 +1,23 @@
+import copy
 import math
 
 import pytest
 
 from drivenosc import ConstantForcing, GridSpec, OscillatorParams
 from drivenosc.canonical import build_frame
+
+# A sinusoid scenario, k(t) = cos 2t on m = w = 1 over [0, pi], as its JSON
+# object: tests build it with Scenario.from_dict or write it to a file.
+DEFAULT_SCENARIO = {
+    "params": {"m": 1.0, "omega": 1.0},
+    "forcing": {"type": "sinusoid", "A": 1.0, "Omega": 2.0, "phi": 0.0},
+    "time": {"t_max": math.pi, "samples": 65},
+}
+
+
+@pytest.fixture
+def default_scenario():
+    return copy.deepcopy(DEFAULT_SCENARIO)
 
 
 @pytest.fixture(scope="session")

@@ -95,10 +95,11 @@ class TestFrameData:
         assert time.perf_counter() - start < 10.0
         np.testing.assert_allclose(fr.values(2.345), exact, rtol=0.0, atol=1e-12)
 
-    def test_build_evaluates_the_drive_once_per_panel_node(self, monkeypatch):
+    def test_build_evaluates_the_drive_once_per_panel_node(self, monkeypatch,
+                                                            default_scenario):
         # the nodes are the walk's own panel edges: 15 Kronrod nodes per
         # panel the drive needs, and no extra panels for a node grid
-        scn = Scenario.default()
+        scn = Scenario.from_dict(default_scenario)
         evaluated = []  # times per call: the walk evaluates a block at once
         evaluate = SinusoidForcing.evaluate
         monkeypatch.setattr(SinusoidForcing, "evaluate",

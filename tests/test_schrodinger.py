@@ -6,6 +6,7 @@ import pytest
 from drivenosc import (
     BoundaryError,
     ConstantForcing,
+    DisplacementParams,
     DomainError,
     GridSpec,
     NumericError,
@@ -25,7 +26,7 @@ from drivenosc import (
     momentum_representation,
     moving_to_lab,
     overlap,
-    transition_probability,
+    overlap_amplitude,
 )
 from drivenosc.canonical import build_frame
 from drivenosc.classical import PhaseState
@@ -202,9 +203,10 @@ class TestEvolution:
     def test_cross_module_transition_probabilities(self, params11, default_grid, const_frame_pi):
         psi1 = eigenstate_wavefunction(params11, 1, default_grid)
         out = evolve_lab(params11, ConstantForcing(1.0), psi1, 2.0)
+        d = DisplacementParams.from_frame(const_frame_pi, 2.0)
         for m in (0, 1, 2, 3):
             pde = abs(overlap(eigenstate_wavefunction(params11, m, default_grid), out)) ** 2
-            closed = transition_probability(1, m, const_frame_pi, 2.0)
+            closed = abs(overlap_amplitude(1, m, d)) ** 2
             assert abs(pde - closed) < 1e-4
 
     def test_unnormalized_initial_state_rejected(self, params11, default_grid):
