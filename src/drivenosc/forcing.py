@@ -18,7 +18,6 @@ between threads.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,22 +143,26 @@ class TabulatedForcing(ForcingSpec):
         object.__setattr__(self, "samples", samples)
         if len(samples) < 2:
             raise DomainError("tabulated forcing needs at least 2 samples")
-        times = [t for t, _ in samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        times, ks = np.array(samples).T
+        if np.any(np.diff(times) <= 0):
             raise DomainError("tabulated forcing needs strictly increasing times")
-        object.__setattr__(self, "_times", times)
-        object.__setattr__(self, "_knots", np.array(samples).T)
+        # knots scaled by a power of two into [-1, 1], so that no slope
+        # np.interp forms overflows; exact for knots above 2^-1021 of the largest
+        e = math.frexp(float(np.max(np.abs(ks))))[1]
+        object.__setattr__(self, "_knots", (times, np.ldexp(ks, -e), e))
 
     def _values(self, t):
-        times, ks = self._knots
-        return np.interp(t, times, ks, left=0.0, right=0.0)
+        times, ks, e = self._knots
+        return np.ldexp(np.interp(t, times, ks, left=0.0, right=0.0), e)
 
     def breakpoints(self, t0, t1):
-        times = self._times
-        return tuple(times[bisect_right(times, t0):bisect_left(times, t1)])
+        times = self._knots[0]
+        lo, hi = np.searchsorted(times, t0, side="right"), np.searchsorted(times, t1, side="left")
+        return tuple(times[lo:hi].tolist())
 
     def vanishes(self, t0, t1):
-        return t1 <= self._times[0] or t0 >= self._times[-1]
+        times = self._knots[0]
+        return bool(t1 <= times[0] or t0 >= times[-1])
 
 
 _VARIANTS = {

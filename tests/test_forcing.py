@@ -37,8 +37,8 @@ def reference(spec, t):
     for (t0, k0), (t1, k1) in zip(spec.samples, spec.samples[1:]):
         if t == t0 or t == t1:
             return k0 if t == t0 else k1
-        if t0 < t < t1:
-            return k0 + (k1 - k0) * (t - t0) / (t1 - t0)
+        if t0 < t < t1:  # on halved knots, so that k1 - k0 cannot overflow
+            return 2.0 * (0.5 * k0 + (0.5 * k1 - 0.5 * k0) * (t - t0) / (t1 - t0))
     return 0.0
 
 
@@ -75,6 +75,12 @@ class TestEvaluate:
         t = TabulatedForcing(samples=samples)
         for ts, ks in samples:
             assert t.evaluate(ts) == ks  # exact, not approximate
+
+    def test_tabulated_line_between_knots_whose_difference_overflows(self):
+        spec = TabulatedForcing(samples=((0.0, -1e308), (1.0, 1e308), (2.0, 0.0)))
+        np.testing.assert_array_equal(spec.evaluate(np.array([0.25, 0.5, 0.75, 1.5])),
+                                      [-5e307, 0.0, 5e307, 5e307])
+        assert spec.evaluate(0.25) == -5e307
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_nonfinite_time_rejected(self, spec):

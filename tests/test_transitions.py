@@ -19,7 +19,7 @@ from drivenosc import (
     probability_row,
 )
 from drivenosc.canonical import build_frame
-from drivenosc.transitions import _laguerre_column, _log_factorials
+from drivenosc.transitions import _laguerre_column
 
 
 def poisson(lam, m):
@@ -234,14 +234,14 @@ def laguerre_probabilities(n, m, lam):
         return np.exp(log_pref + 2.0 * np.log(np.abs(eval_genlaguerre(lo, hi - lo, lam))))
 
 
-def mpmath_log_magnitudes(n, lam, m_stop):
-    """log |A(n, m)| for m = 0 .. m_stop-1 at 160 digits, L_lo^{(hi-lo)}
+def mpmath_log_magnitudes(n, lam, m_stop, m_start=0):
+    """log |A(n, m)| for m = m_start .. m_stop-1 at 160 digits, L_lo^{(hi-lo)}
     summed term by term from its power series: shares no step with the
     degree recurrence or with the double-precision factorials."""
     out = []
     with mpmath.workdps(160):  # the series cancels by ~10^54 at n 100, lam 80
         x = mpmath.mpf(lam)
-        for m in range(m_stop):
+        for m in range(m_start, m_stop):
             lo, hi = min(n, m), max(n, m)
             term = total = mpmath.binomial(hi, lo)
             for i in range(lo):
@@ -275,19 +275,18 @@ class TestHighQuantumNumbers:
         _, log_mag = _laguerre_column(n, lam, 501)
         exact = mpmath_log_magnitudes(n, lam, 501)
         # the form adds terms as large as log hi! and lam / 2, so its
-        # rounding is relative to their size
+        # rounding is relative to their size (at most 1.3e-15 of it here)
         hi = np.maximum(np.arange(501), n)
         scale = 1.0 + lam + np.array([math.lgamma(k + 1) for k in hi])
-        assert np.max(np.abs(log_mag - exact) / scale) < 2e-14
+        assert np.max(np.abs(log_mag - exact) / scale) < 5e-15
 
-    def test_log_factorials_match_mpmath_and_are_read_only(self):
-        table = _log_factorials(501)
-        exact = np.array([float(mpmath.loggamma(m + 1)) for m in range(501)])
-        assert np.max(np.abs(table - exact) / np.maximum(1.0, exact)) < 2e-14
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[3] = 0.0
-        assert _log_factorials(501) is table
+    def test_log_magnitudes_near_the_diagonal_carry_only_the_gap_rounding(self):
+        # log(lo!/hi!) over a gap of a few k must not inherit the rounding of
+        # log n! (~1414 here), which put these entries ~1e-13 off
+        n, lam = 300, 1e-3
+        _, log_mag = _laguerre_column(n, lam, n + 4)
+        exact = mpmath_log_magnitudes(n, lam, n + 4, m_start=n - 3)
+        assert np.max(np.abs(log_mag[n - 3:] - exact)) < 1e-14
 
     def test_matches_order_200_quadrature_oracle(self):
         rng = np.random.default_rng(41)
