@@ -7,21 +7,17 @@ gauge phase
     G(t) = integral_0^t [ m xdot_nh^2/2 - m w^2 x_nh^2/2 + x_nh k ] ds,
 
 i.e. the classical action along the response orbit.  With G chosen this
-way, the mixed-variable generating functions
+way, the type-1 generating function in (old position, new momentum)
 
     F1(x, eta, t) = (x - x_nh)(eta + m xdot_nh) + G(t)
-    F2(xi, p, t)  = (xi + x_nh)(p - m xdot_nh) + G(t)
 
-map the driven Hamiltonian exactly onto the unforced one: new coordinates
+maps the driven Hamiltonian exactly onto the unforced one: new coordinates
 are (xi, eta) = (x - x_nh, p - m xdot_nh), and K = H + dF1/dt holds
-pointwise.  The same data feeds the quantum shift-plus-phase maps in
-:mod:`drivenosc.schrodinger`, via the phases
-
-    phase_to_lab(x, t)     = (x - x_nh) m xdot_nh + G(t)
-    phase_to_moving(xi, t) = -(xi m xdot_nh + G(t)),
-
-the second minus the first at x = xi + x_nh, so the two maps are exact
-inverses.
+pointwise.  At zero new momentum, F1(x, 0, t) = (x - x_nh) m xdot_nh + G
+is the phase of the quantum frame change in :mod:`drivenosc.schrodinger`:
+``moving_to_lab`` attaches e^{i F1(x, 0, t)} and ``lab_to_moving`` its
+adjoint e^{-i F1(x, 0, t)}, so the two maps are exact inverses.  ``_f1``
+is the one place the formula is written.
 
 A frame keeps the state of one response walk over [0, t_max] (see
 ``classical._walk``) at every panel edge: the kinks of k and the splits
@@ -37,9 +33,10 @@ the identity
 
 which follows from the equation of motion (derived in NOTES.md).  The
 walk itself lives in :mod:`drivenosc.classical`; this module keeps the
-frame reads, the generating functions and the maps.  ``exact_values`` is
-the independent oracle: adaptive quadrature for z_nh and one pass of
-fixed panels for G, the response carried from node to node.
+frame reads, the generating function and the point maps.
+``exact_values`` is the independent oracle: adaptive quadrature for z_nh
+and one pass of fixed panels for G, the response carried from node to
+node.
 
 Frames are immutable once built and safe to evaluate concurrently.
 """
@@ -63,16 +60,11 @@ def _lagrangian(params: OscillatorParams, spec: ForcingSpec, x: float,
     return 0.5 * m * xdot * xdot - 0.5 * m * w * w * x * x + x * spec.evaluate(t)
 
 
-def _phase_to_lab(m: float, x, center):
-    """(x - x_nh) m xdot_nh + G for center = (x_nh, xdot_nh, G), one frame read."""
+def _f1(m: float, x, eta, center):
+    """F1(x, eta) = (x - x_nh)(eta + m xdot_nh) + G for center =
+    (x_nh, xdot_nh, G), one frame read."""
     xc, vc, g = center
-    return (x - xc) * m * vc + g
-
-
-def _phase_to_moving(m: float, xi, center):
-    """-(xi m xdot_nh + G) for center = (x_nh, xdot_nh, G), one frame read."""
-    _, vc, g = center
-    return -(xi * m * vc + g)
+    return (x - xc) * (eta + m * vc) + g
 
 
 class CanonicalFrame:
@@ -151,26 +143,11 @@ class CanonicalFrame:
         )
         return float(z[0]), float(z[1] / params.m), float(g[0])
 
-    # -- generating functions and phases ------------------------------------
+    # -- generating function -----------------------------------------------
 
     def f1(self, x, eta, t: float):
         """Mixed generating function in (old position, new momentum)."""
-        xc, vc, g = self.values(t)
-        return (x - xc) * (eta + self.params.m * vc) + g
-
-    def f2(self, xi, p, t: float):
-        """Mixed generating function in (new position, old momentum)."""
-        xc, vc, g = self.values(t)
-        return (xi + xc) * (p - self.params.m * vc) + g
-
-    def phase_to_lab(self, x, t: float):
-        """Phase attached when mapping a moving-frame state to the lab."""
-        return _phase_to_lab(self.params.m, x, self.values(t))
-
-    def phase_to_moving(self, xi, t: float):
-        """Phase attached when mapping a lab state to the moving frame:
-        minus ``phase_to_lab`` at x = xi + x_nh."""
-        return _phase_to_moving(self.params.m, xi, self.values(t))
+        return _f1(self.params.m, x, eta, self.values(t))
 
     # -- point maps ----------------------------------------------------------
 

@@ -26,15 +26,16 @@ e^{ic (x_min + q dx a)} times e^{ic dx b}, two short factors per step
 that are exact to rounding (7e-15 at c = 3.7 on the default grid).
 
 The frame-change maps are shift-plus-phase operators built from a
-:class:`~drivenosc.canonical.CanonicalFrame`:
+:class:`~drivenosc.canonical.CanonicalFrame`, the phase being the type-1
+generating function at zero new momentum, F1(x, 0, t) =
+(x - x_nh) m xdot_nh + G:
 
-    moving_to_lab:  phi(x)  -> e^{i phase_to_lab(x, t)}  phi(x - x_nh(t))
-    lab_to_moving:  psi(xi) -> e^{i phase_to_moving(xi, t)} psi(xi + x_nh(t))
+    moving_to_lab:  phi -> e^{i F1(x, 0, t)} phi(x - x_nh(t))
+    lab_to_moving:  psi -> (e^{-i F1(x, 0, t)} psi)(xi + x_nh(t))
 
-with phase_to_lab(x, t) = (x - x_nh) m xdot_nh + G and
-phase_to_moving(xi, t) = -(xi m xdot_nh + G), so each map is the exact
-inverse of the other, global phase included.  Each map reads the frame
-once.
+The second is the adjoint of the first, its factors taken in reverse
+order, so each map is the exact inverse of the other, global phase
+included.  Each map reads the frame once.
 
 Shifts are applied in the momentum representation (exact for band-limited
 states).  These two maps intertwine the driven and unforced evolutions:
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalFrame, _phase_to_lab, _phase_to_moving
+from .canonical import CanonicalFrame, _f1
 from .classical import OscillatorParams
 from .errors import BoundaryError, DomainError, NumericError
 from .forcing import ForcingSpec
@@ -186,10 +187,9 @@ def momentum_representation(psi: WaveFunction) -> WaveFunction:
     return WaveFunction(p_grid, np.fft.fftshift(spectral))
 
 
-def _shift_values(psi: WaveFunction, shift: float) -> np.ndarray:
+def _shift_values(grid: GridSpec, values: np.ndarray, shift: float) -> np.ndarray:
     """values(x - shift) via the momentum representation (band-limited exact)."""
-    k = psi.grid.wavenumbers
-    return np.fft.ifft(np.fft.fft(psi.values) * np.exp(-1j * k * shift))
+    return np.fft.ifft(np.fft.fft(values) * np.exp(-1j * grid.wavenumbers * shift))
 
 
 def _require_normalized(psi: WaveFunction, context: str) -> None:
@@ -262,21 +262,21 @@ def _strang_block(params: OscillatorParams, spec: ForcingSpec, vals: np.ndarray,
 
 def moving_to_lab(frame: CanonicalFrame, phi: WaveFunction, t: float) -> WaveFunction:
     """Map a moving-frame state to the laboratory frame at time t:
-    shift by +x_nh(t), then attach e^{i phase_to_lab(x, t)}."""
+    shift by +x_nh(t), then attach e^{i F1(x, 0, t)}."""
     center = frame.values(t)
-    shifted = _shift_values(phi, center[0])
-    vals = np.exp(1j * _phase_to_lab(frame.params.m, phi.grid.x, center)) * shifted
+    shifted = _shift_values(phi.grid, phi.values, center[0])
+    vals = np.exp(1j * _f1(frame.params.m, phi.grid.x, 0.0, center)) * shifted
     out = WaveFunction(phi.grid, vals)
     _check_boundary(out, "moving_to_lab")
     return out
 
 
 def lab_to_moving(frame: CanonicalFrame, psi: WaveFunction, t: float) -> WaveFunction:
-    """Inverse frame map: shift by -x_nh(t) with phase_to_moving attached."""
+    """Adjoint of ``moving_to_lab``: attach e^{-i F1(x, 0, t)}, then shift
+    by -x_nh(t)."""
     center = frame.values(t)
-    shifted = _shift_values(psi, -center[0])
-    vals = np.exp(1j * _phase_to_moving(frame.params.m, psi.grid.x, center)) * shifted
-    out = WaveFunction(psi.grid, vals)
+    phased = np.exp(-1j * _f1(frame.params.m, psi.grid.x, 0.0, center)) * psi.values
+    out = WaveFunction(psi.grid, _shift_values(psi.grid, phased, -center[0]))
     _check_boundary(out, "lab_to_moving")
     return out
 
@@ -307,21 +307,3 @@ def momentum_expectation(psi: WaveFunction) -> float:
     k = psi.grid.wavenumbers
     ppsi = np.fft.ifft(k * np.fft.fft(psi.values))
     return float(np.real(np.sum(np.conj(psi.values) * ppsi) * psi.grid.dx))
-
-
-def fidelity(psi1: WaveFunction, psi2: WaveFunction) -> float:
-    """|<psi1, psi2>|^2 for unit-norm states: phase-insensitive closeness."""
-    return abs(overlap(psi1, psi2)) ** 2
-
-
-def phase_quotient_defect(psi1: WaveFunction, psi2: WaveFunction) -> float:
-    """Grid-norm distance min_phi || e^{i phi} psi1 - psi2 ||.
-
-    Computed by rotating psi1 onto psi2's phase and subtracting pointwise,
-    which stays accurate far below the cancellation floor of the
-    2 - 2|<psi1, psi2>| form.
-    """
-    inner = overlap(psi1, psi2)
-    rot = inner / abs(inner) if inner != 0.0 else 1.0
-    diff = rot * psi1.values - psi2.values
-    return math.sqrt(float(np.sum(np.abs(diff) ** 2)) * psi1.grid.dx)

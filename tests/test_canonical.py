@@ -192,8 +192,7 @@ class TestGeneratingFunctions:
     def test_zero_forcing_is_identity_generator(self, params11):
         fr = build_frame(params11, ZeroForcing(), 2.0)
         assert fr.f1(0.7, -0.3, 1.1) == pytest.approx(0.7 * -0.3, abs=1e-15)
-        assert fr.phase_to_lab(0.5, 1.0) == 0.0
-        assert fr.phase_to_moving(0.5, 1.0) == 0.0
+        assert fr.f1(0.5, 0.0, 1.0) == 0.0
 
     def test_f1_collapses_to_gauge_on_the_center(self, const_frame_pi):
         t = 1.2
@@ -202,8 +201,9 @@ class TestGeneratingFunctions:
             assert const_frame_pi.f1(x, eta, t) == pytest.approx(const_frame_pi.gauge(t), abs=1e-12)
 
     def test_phase_to_lab_on_the_center(self, const_frame_pi):
+        # the phase moving_to_lab attaches is F1 at zero new momentum
         for t in (0.5, 1.5, 2.5):
-            assert const_frame_pi.phase_to_lab(const_frame_pi.x_nh(t), t) == \
+            assert const_frame_pi.f1(const_frame_pi.x_nh(t), 0.0, t) == \
                 pytest.approx(const_frame_pi.gauge(t), abs=1e-12)
 
     def test_phase_values_quarter_period(self, const_frame_pi):
@@ -211,21 +211,7 @@ class TestGeneratingFunctions:
         t = math.pi / 2
         g = const_frame_pi.gauge(t)
         assert g == pytest.approx(math.pi / 4, abs=1e-11)
-        assert const_frame_pi.phase_to_lab(2.0, t) == pytest.approx((2 - 1) * 1 + g, abs=1e-10)
-        # the inverse phase at xi is minus phase_to_lab at xi + x_nh
-        assert const_frame_pi.phase_to_moving(0.0, t) == pytest.approx(-g, abs=1e-10)
-
-    def test_f2_half_period(self, const_frame_pi):
-        # xdot_nh(pi) = 0, so F2(1, 0, pi) = G(pi) = pi/2
-        assert const_frame_pi.f2(1.0, 0.0, math.pi) == pytest.approx(math.pi / 2, abs=1e-10)
-
-    def test_phase_prime_on_negated_center(self, const_frame_pi):
-        # xi = -x_nh maps to x = 0, where phase_to_lab is -x_nh m xdot_nh + G
-        t = 2.0
-        x, v, g = const_frame_pi.values(t)
-        assert const_frame_pi.phase_to_moving(-x, t) == pytest.approx(x * v - g, abs=1e-12)
-        assert const_frame_pi.phase_to_moving(-x, t) == \
-            pytest.approx(-const_frame_pi.phase_to_lab(0.0, t), abs=1e-12)
+        assert const_frame_pi.f1(2.0, 0.0, t) == pytest.approx((2 - 1) * 1 + g, abs=1e-10)
 
 
 class TestTransformationLaw:

@@ -537,6 +537,19 @@ class TestVerifyCommand:
         assert len(report["checks"]) >= 15
         assert all(c["status"] == "pass" for c in report["checks"])
 
+    def test_short_window_keeps_differences_inside_the_frame(self, tmp_path):
+        # at t_max 1e-4 a step of 1e-5 max(1, t) would read past t_max; the
+        # step is capped at 1% of t_max, so every check runs on the window
+        scn = write_scenario(
+            tmp_path,
+            forcing={"type": "sinusoid", "A": 1.0, "Omega": 2.0, "phi": 0.0},
+            time={"t_max": 1e-4, "samples": 9},
+        )
+        assert main(["verify", "--scenario", str(scn), "--suite", "all",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert len(report["checks"]) == 25
+
     def test_grid_solver_runs_only_on_the_driven_side(self, tmp_path, monkeypatch,
                                                       default_scenario):
         # the unforced side of both covariance checks is the exact
