@@ -41,13 +41,29 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """One line per row tuple, each value as %.17g."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+# Rows per % operation of _write_csv: bounds the format string, not the file.
+CSV_CHUNK = 4096
+
+
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    """The header, then the rows of each block, every value as %.17g.
+
+    A block holds one entry per column: a list (that column's value on
+    each row; at least one column is a list) or a scalar (the same value
+    on every row of the block, formatted once).
+    """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(line % row)
+        for block in blocks:
+            arrays = [c for c in block if isinstance(c, list)]
+            line = ",".join("%.17g" if isinstance(c, list) else "%.17g" % c for c in block) + "\n"
+            rows = len(arrays[0])
+            for lo in range(0, rows, CSV_CHUNK):
+                hi = min(lo + CSV_CHUNK, rows)
+                values = [None] * ((hi - lo) * len(arrays))
+                for j, column in enumerate(arrays):
+                    values[j::len(arrays)] = column[lo:hi]
+                fh.write(line * (hi - lo) % tuple(values))
 
 
 def _times(scn: Scenario) -> np.ndarray:
@@ -73,7 +89,7 @@ def cmd_classical(scn: Scenario, out_dir: Path) -> list[Path]:
                           f"got ({x!r}, {p!r}) at t={times[i]:.17g}")
     path = out_dir / "trajectory.csv"
     _write_csv(path, ["t", "x", "p", "x_nh", "p_nh", "invariant"],
-               zip(times.tolist(), *z.T.tolist(), *z_nh.T.tolist(), invariant.tolist()))
+               [(times.tolist(), *z.T.tolist(), *z_nh.T.tolist(), invariant.tolist())])
     return [path]
 
 
@@ -89,26 +105,30 @@ def _displacements(scn: Scenario) -> tuple[np.ndarray, list]:
 
 
 def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
-    """P(n_initial -> m) and the excitation mean: one column per time, all
-    displacements from one frame read."""
-    csv_rows = []
+    """P(n_initial -> m) and the excitation mean: all displacements from one
+    frame read, the columns in blocks of times, each only as long as its
+    row or m <= m_max needs (at most max(501, m_max + 1) entries)."""
+    n = scn.n_initial
+    times, displacements = _displacements(scn)
+    # the first length covers m <= m_max with room for most rows to end
+    columns = transitions.probability_columns(n, displacements, scn.m_max + 33,
+                                              max(501, scn.m_max + 1), scn.tail_tol)
+    csv_blocks = []
     json_rows = []
-    for t, d in zip(*_displacements(scn)):
-        t = float(t)
-        column = transitions.probability_column(scn.n_initial, d, max(501, scn.m_max + 1))
-        row = transitions.probability_row(scn.n_initial, column, scn.tail_tol)
+    for t, d, column in zip(times.tolist(), displacements, columns):
+        row = transitions.probability_row(n, column, scn.tail_tol)
         probs = column[:max(row.truncation_m, scn.m_max + 1)].tolist()  # row or m <= m_max
         lam = d.poisson_mean()
-        csv_rows.extend((t, scn.n_initial, m, p, lam) for m, p in enumerate(probs))
+        csv_blocks.append((t, n, list(range(len(probs))), probs, lam))
         json_rows.append({
-            "n": scn.n_initial,
+            "n": n,
             "t": t,
             "lambda": lam,
             "probabilities": list(row.probabilities),
             "tail_bound": row.tail_bound,
         })
     csv_path = out_dir / "transitions.csv"
-    _write_csv(csv_path, ["t", "n", "m", "P", "lambda"], csv_rows)
+    _write_csv(csv_path, ["t", "n", "m", "P", "lambda"], csv_blocks)
     json_path = out_dir / "transition_rows.json"
     with open(json_path, "w") as fh:
         json.dump(json_rows, fh, indent=2, sort_keys=True)
@@ -118,12 +138,11 @@ def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
 
 def cmd_survival(scn: Scenario, out_dir: Path) -> list[Path]:
     """Ground-state survival probability exp(-lambda) over the time grid."""
-    rows = []
-    for t, d in zip(*_displacements(scn)):
-        lam = d.poisson_mean()
-        rows.append((float(t), lam, math.exp(-lam)))
+    times, displacements = _displacements(scn)
+    lams = [d.poisson_mean() for d in displacements]
     path = out_dir / "survival.csv"
-    _write_csv(path, ["t", "lambda", "survival"], rows)
+    _write_csv(path, ["t", "lambda", "survival"],
+               [(times.tolist(), lams, [math.exp(-lam) for lam in lams])])
     return [path]
 
 
@@ -146,13 +165,13 @@ def cmd_evolve_pde(scn: Scenario, out_dir: Path) -> list[Path]:
                                f"finite at t={t:.17g}", partial=psi)
         log_rows.append(row)
     log_path = out_dir / "evolution.csv"
-    _write_csv(log_path, ["t", "norm", "energy", "overlap_ground"], log_rows)
+    _write_csv(log_path, ["t", "norm", "energy", "overlap_ground"],
+               [tuple(map(list, zip(*log_rows)))])
     state_path = out_dir / "final_state.csv"
-    _write_csv(
-        state_path, ["x", "re", "im", "abs2"],
-        ((float(x), v.real, v.imag, abs(v) ** 2)
-         for x, v in zip(grid.x, psi.values)),
-    )
+    values = psi.values
+    _write_csv(state_path, ["x", "re", "im", "abs2"],
+               [(grid.x.tolist(), values.real.tolist(), values.imag.tolist(),
+                 [abs(v) ** 2 for v in values])])
     return [log_path, state_path]
 
 

@@ -20,10 +20,14 @@ lambda = |beta|^2, lo = min(n, m) and hi = max(n, m) it is evaluated as
               u^{hi-lo} L_lo^{(hi-lo)}(lambda),
     u = beta/|beta| (m >= n),   u = -conj(beta)/|beta| (m < n),
 
-for a whole column m = 0 .. M-1 at once; a row is the column's shortest
-prefix holding 1 - tail_tol.  NOTES.md derives the form from the
-generating-function k-sum, which cancels catastrophically, so is not used;
-``overlap_by_quadrature`` is the independent oracle for the closed form.
+for a whole column m = 0 .. M-1 at once, and for a block of times (one
+lambda each) at once.  Each entry depends only on (n, m, lambda), so a
+shorter column is a bit-exact prefix of a longer one.  A row is the
+column's shortest prefix holding 1 - tail_tol; ``probability_columns``
+grows each time's column only as far as its row needs.  NOTES.md derives
+the form from the generating-function k-sum, which cancels
+catastrophically, so is not used; ``overlap_by_quadrature`` is the
+independent oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -38,6 +43,11 @@ from .canonical import CanonicalFrame
 from .classical import OscillatorParams
 from .errors import DomainError, NumericError
 from .hermite import _check_n, gauss_hermite_rule, hermite_poly
+
+# A block of columns holds at most TIME_BLOCK times and BLOCK_ENTRIES
+# entries, so memory does not grow with the number of sample times.
+TIME_BLOCK = 1024
+BLOCK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -92,35 +102,52 @@ def _valid_row(probs) -> bool:
     return bool(np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)) and p.sum() <= 1.0 + 1e-10)
 
 
-def _laguerre_column(n: int, lam: float, m_stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log |A(n, m)| (the Laguerre form above) for m = 0 .. m_stop-1."""
+def _laguerre_column(n: int, lam, m_stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log |A(n, m)| (the Laguerre form above) for m = 0 .. m_stop-1.
+
+    A scalar lam gives one column; an array of lam gives one row per entry.
+    Each entry depends only on (n, m, lam), so a shorter column is an exact
+    prefix of a longer one.
+    """
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    rate = lams[:, None]
     m = np.arange(m_stop)
-    if lam == 0.0:
-        return np.ones(m_stop), np.where(m == n, 0.0, -np.inf)
     gap = np.abs(m - n)
     # lag * e^scale = L_k^{(gap)}(lam), raised in degree k by the increments
     # inc * e^scale = L_k^{(gap-1)}(lam) (accurate as lam -> 0; see NOTES.md).
     # Entry m stops at k = min(m, n), so step k only moves the entries m > k.
-    lag, inc, scale = np.ones(m_stop), np.ones(m_stop), np.zeros(m_stop)
+    shape = (lams.size, m_stop)
+    lag, inc, scale = np.ones(shape), np.ones(shape), np.zeros(shape)
     for k in range(min(n, m_stop - 1)):
-        moving, step = lag[k + 1:], inc[k + 1:]
+        moving, step = lag[:, k + 1:], inc[:, k + 1:]
         step *= k + gap[k + 1:]
-        step -= lam * moving
+        step -= rate * moving
         step /= k + 1
         moving += step
-        if np.abs(moving).max() > 1e150:  # rescale long before overflow
-            f = np.maximum(np.abs(moving), 1.0)
+        size = np.abs(moving)
+        big = size > 1e150  # rescale an entry long before it overflows
+        if big.any():
+            f = np.where(big, size, 1.0)
             moving /= f
             step /= f
-            scale[k + 1:] += np.log(f)
+            scale[:, k + 1:] += np.log(f)
+    # math.log per lam: np.log over the array can differ in the last bit
+    half_log = np.array([[0.5 * math.log(x) if x > 0.0 else 0.0] for x in lams.tolist()])
     with np.errstate(divide="ignore"):  # an exact zero of L has log -inf
-        log_mag = scale + np.log(np.abs(lag)) + gap * (0.5 * math.log(lam)) - 0.5 * lam
+        log_mag = scale + np.log(np.abs(lag)) + gap * half_log - 0.5 * rate
     # log(hi!/lo!) = sum of log k over lo < k <= hi, summed outward from n so
     # that its rounding scales with the gap, not with log n!
     log_ratio = np.zeros(max(n + 1, m_stop))
     log_ratio[n + 1:] = np.cumsum(np.log(np.arange(n + 1, log_ratio.size)))
     log_ratio[:n] = np.cumsum(np.log(np.arange(n, 0, -1)))[::-1]
-    return np.sign(lag), log_mag - 0.5 * log_ratio[:m_stop]
+    log_mag -= 0.5 * log_ratio[:m_stop]
+    sign = np.sign(lag)
+    still = lams == 0.0  # no displacement: A(n, m) is exactly delta_nm
+    sign[still] = 1.0
+    log_mag[still] = np.where(m == n, 0.0, -np.inf)
+    if np.ndim(lam) == 0:
+        return sign[0], log_mag[0]
+    return sign, log_mag
 
 
 def overlap_amplitude(n: int, m: int, d: DisplacementParams) -> complex:
@@ -131,13 +158,50 @@ def overlap_amplitude(n: int, m: int, d: DisplacementParams) -> complex:
     return complex(sign[m]) * cmath.exp(log_mag[m] + 1j * (0.5 * d.a * d.b + abs(m - n) * theta))
 
 
-def probability_column(n: int, d: DisplacementParams, m_stop: int) -> np.ndarray:
-    """P(n -> m) for m = 0 .. m_stop-1; NumericError if any value is invalid."""
-    probs = np.exp(2.0 * _laguerre_column(_check_n(n), d.poisson_mean(), m_stop)[1])
+def _checked(n: int, probs: np.ndarray) -> np.ndarray:
     if not _valid_row(probs):
         raise NumericError(f"transition row from n={n} is not finite or not in [0, 1]",
                            partial=tuple(probs.tolist()))
     return probs
+
+
+def probability_column(n: int, d: DisplacementParams, m_stop: int) -> np.ndarray:
+    """P(n -> m) for m = 0 .. m_stop-1; NumericError if any value is invalid."""
+    return _checked(n, np.exp(2.0 * _laguerre_column(_check_n(n), d.poisson_mean(), m_stop)[1]))
+
+
+def probability_columns(n: int, displacements, m_first: int, m_cap: int,
+                        tail_tol: float) -> Iterator[np.ndarray]:
+    """``probability_column`` at each displacement in turn, only as long as
+    its row needs.
+
+    Each column is the prefix of the m_cap-entry one, cut at the first
+    length of m_first, 2 m_first, 4 m_first, ... (capped at m_cap) whose
+    mass exceeds 1 - tail_tol; a column that never does keeps all m_cap
+    entries.  Columns are computed a block of times at once, and a round
+    of growth recomputes only the times still short of 1 - tail_tol.
+    NumericError at the first invalid column, in order.
+    """
+    n = _check_n(n)
+    lams = np.array([d.poisson_mean() for d in displacements], dtype=float)
+    rows = max(1, min(TIME_BLOCK, BLOCK_ENTRIES // m_cap))
+    for start in range(0, lams.size, rows):
+        block = lams[start:start + rows]
+        columns = [None] * block.size
+        todo = np.arange(block.size)
+        length = min(m_first, m_cap)
+        while todo.size:
+            probs = np.exp(2.0 * _laguerre_column(n, block[todo], length)[1])
+            # the row's test in probability_row: the last partial sum passes 1 - tail_tol
+            held = np.cumsum(probs, axis=1)[:, -1] > 1.0 - tail_tol
+            if length == m_cap:
+                held[:] = True
+            for i, column in zip(todo[held].tolist(), probs[held]):
+                columns[i] = column
+            todo = todo[~held]
+            length = min(2 * length, m_cap)
+        for column in columns:
+            yield _checked(n, column)
 
 
 def overlap_by_quadrature(n: int, m: int, d: DisplacementParams, order: int) -> complex:

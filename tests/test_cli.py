@@ -24,10 +24,11 @@ from drivenosc import (
     SinusoidForcing,
     TabulatedForcing,
     probability_column,
+    probability_row,
     propagator,
     quadratic_invariant,
 )
-from drivenosc import cli, schrodinger
+from drivenosc import cli, schrodinger, transitions
 from drivenosc.canonical import CanonicalFrame, build_frame
 from drivenosc.cli import main
 from drivenosc.scenario import REPORT_SCHEMA, SCENARIO_SCHEMA, Scenario
@@ -305,6 +306,39 @@ class TestTransitionsCommand:
             assert at_t[:cut, 3].tolist() == row["probabilities"]
             assert at_t[cut:, 3].tolist() == column[cut:].tolist()
 
+    def test_grown_columns_equal_the_full_column_route(self, tmp_path):
+        # lambda = 0 at t = 0, rows near lambda = 2 K^2 = 50 that need more
+        # than the first m_max + 33 entries, and more samples than one block
+        scn = write_scenario(tmp_path, forcing={"type": "constant", "K": 5.0},
+                             time={"t_max": math.pi, "samples": 1100},
+                             quantum={"n_initial": 20, "m_max": 10, "tail_tol": 1e-12})
+        assert main(["transitions", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        loaded = Scenario.from_file(scn)
+        times = np.linspace(0.0, loaded.t_max, loaded.samples)
+        x_nh, xdot_nh, _ = build_frame(loaded.params, loaded.forcing, loaded.t_max).values(times)
+        lines, rows = ["t,n,m,P,lambda"], []
+        for t, d in zip(times.tolist(), DisplacementParams.series(loaded.params, x_nh, xdot_nh)):
+            column = probability_column(20, d, 501)
+            row = probability_row(20, column, 1e-12)
+            lam = d.poisson_mean()
+            lines += ["%.17g,%.17g,%.17g,%.17g,%.17g" % (t, 20, m, p, lam)
+                      for m, p in enumerate(column[:max(row.truncation_m, 11)].tolist())]
+            rows.append({"n": 20, "t": t, "lambda": lam, "probabilities": list(row.probabilities),
+                         "tail_bound": row.tail_bound})
+        assert rows[0]["lambda"] == 0.0
+        assert len(rows) > transitions.TIME_BLOCK
+        assert max(len(row["probabilities"]) for row in rows) > 2 * (10 + 33)
+        assert (tmp_path / "transitions.csv").read_text() == "\n".join(lines) + "\n"
+        assert (tmp_path / "transition_rows.json").read_text() == \
+            json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+    def test_row_past_m_500_below_m_max_is_a_numeric_failure(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, forcing={"type": "constant", "K": 5.0},
+                             time={"t_max": math.pi, "samples": 9},
+                             quantum={"n_initial": 300, "m_max": 16})
+        assert main(["transitions", "--scenario", str(scn), "--out", str(tmp_path)]) == 3
+        assert "did not capture 1 - 1e-09 within m <= 500" in capsys.readouterr().err
+
     def test_rows_past_m_500_when_m_max_reaches_them(self, tmp_path):
         # constant K = 5 displaces by lambda = 2 K^2 = 50 at t = pi: from
         # n = 300 the row runs to m ~ 627, past the 501-entry default column
@@ -342,6 +376,29 @@ class TestTransitionsCommand:
                 exact = (mpmath.exp(-lam) * mpmath.factorial(300) / mpmath.factorial(m)
                          * lam ** (m - 300) * mpmath.laguerre(300, m - 300, lam) ** 2)
                 assert abs(row["probabilities"][m] - float(exact)) < 2e-14
+
+
+class TestWriteCsv:
+    def test_blocks_equal_formatting_each_value(self, tmp_path):
+        rng = np.random.default_rng(7)
+        long = rng.standard_normal(cli.CSV_CHUNK + 904).tolist()
+        blocks = [
+            (0.25, 3, [0, 1, 2, 3], [0.1, -0.0, 1e-300, 2.0 / 3.0], -0.0),
+            (-0.0, 7, list(range(len(long))), long, math.pi),
+            ([1.5, -0.0], 0, [2, 3], 2.0, [4e-17, 5]),
+            (1.5, 0, [], [], 2.0),  # no rows
+        ]
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, ["a", "b", "c", "d", "e"], blocks)
+        expected = ["a,b,c,d,e"]
+        for block in blocks:
+            lists = [c for c in block if isinstance(c, list)]
+            for i in range(len(lists[0])):
+                expected.append(",".join("%.17g" % (c[i] if isinstance(c, list) else c)
+                                         for c in block))
+        assert expected[1:3] == ["0.25,3,0,0.10000000000000001,-0", "0.25,3,1,-0,-0"]
+        assert expected[-2:] == ["1.5,0,2,2,4.0000000000000003e-17", "-0,0,3,2,5"]
+        assert path.read_text() == "\n".join(expected) + "\n"
 
 
 class TestSilentDrive:

@@ -288,6 +288,27 @@ class TestHighQuantumNumbers:
         exact = mpmath_log_magnitudes(n, lam, n + 4, m_start=n - 3)
         assert np.max(np.abs(log_mag[n - 3:] - exact)) < 1e-14
 
+    @pytest.mark.parametrize("n, lam, short, long", [(0, 2.5, 20, 60), (40, 9.0, 60, 501),
+                                                     (300, 15.4, 340, 800),
+                                                     (2000, 0.3, 2100, 2600)])
+    def test_shorter_column_is_an_exact_prefix(self, n, lam, short, long):
+        # each entry rescales on its own size, so a column's length moves no
+        # bit of its entries (at n = 2000 a rescale over the whole slice did)
+        sign, log_mag = _laguerre_column(n, lam, long)
+        head_sign, head = _laguerre_column(n, lam, short)
+        assert np.array_equal(head, log_mag[:short])
+        assert np.array_equal(head_sign, sign[:short])
+
+    @pytest.mark.parametrize("n, m_stop", [(0, 40), (40, 501), (300, 800), (2000, 2600)])
+    def test_block_of_lambdas_equals_the_single_columns(self, n, m_stop):
+        lams = np.array([0.0, 1e-6, 0.3, 15.4, 80.0])
+        signs, block = _laguerre_column(n, lams, m_stop)
+        assert block.shape == (lams.size, m_stop)
+        for lam, sign_row, row in zip(lams.tolist(), signs, block):
+            sign, log_mag = _laguerre_column(n, lam, m_stop)
+            assert np.array_equal(row, log_mag)
+            assert np.array_equal(sign_row, sign)
+
     def test_matches_order_200_quadrature_oracle(self):
         rng = np.random.default_rng(41)
         for _ in range(40):
