@@ -41,10 +41,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-# Rows per % operation of _write_csv: bounds the format string, not the file.
-CSV_CHUNK = 4096
-
-
 def _write_csv(path: Path, header: list[str], blocks) -> None:
     """The header, then the rows of each block, every value as %.17g.
 
@@ -58,12 +54,10 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
             arrays = [c for c in block if isinstance(c, list)]
             line = ",".join("%.17g" if isinstance(c, list) else "%.17g" % c for c in block) + "\n"
             rows = len(arrays[0])
-            for lo in range(0, rows, CSV_CHUNK):
-                hi = min(lo + CSV_CHUNK, rows)
-                values = [None] * ((hi - lo) * len(arrays))
-                for j, column in enumerate(arrays):
-                    values[j::len(arrays)] = column[lo:hi]
-                fh.write(line * (hi - lo) % tuple(values))
+            values = [None] * (rows * len(arrays))
+            for j, column in enumerate(arrays):
+                values[j::len(arrays)] = column
+            fh.write(line * rows % tuple(values))
 
 
 def _times(scn: Scenario) -> np.ndarray:
@@ -110,9 +104,7 @@ def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
     row or m <= m_max needs (at most max(501, m_max + 1) entries)."""
     n = scn.n_initial
     times, displacements = _displacements(scn)
-    # the first length covers m <= m_max with room for most rows to end
-    columns = transitions.probability_columns(n, displacements, scn.m_max + 33,
-                                              max(501, scn.m_max + 1), scn.tail_tol)
+    columns = transitions.probability_columns(n, displacements, scn.m_max, scn.tail_tol)
     csv_blocks = []
     json_rows = []
     for t, d, column in zip(times.tolist(), displacements, columns):

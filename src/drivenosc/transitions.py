@@ -24,7 +24,8 @@ for a whole column m = 0 .. M-1 at once, and for a block of times (one
 lambda each) at once.  Each entry depends only on (n, m, lambda), so a
 shorter column is a bit-exact prefix of a longer one.  A row is the
 column's shortest prefix holding 1 - tail_tol; ``probability_columns``
-grows each time's column only as far as its row needs.  NOTES.md derives
+computes each time's column only as far as its row needs (the route the
+``transitions`` command and verify's row checks share).  NOTES.md derives
 the form from the generating-function k-sum, which cancels
 catastrophically, so is not used; ``overlap_by_quadrature`` is the
 independent oracle for the closed form.
@@ -44,9 +45,15 @@ from .classical import OscillatorParams
 from .errors import DomainError, NumericError
 from .hermite import _check_n, gauss_hermite_rule, hermite_poly
 
-# A block of columns holds at most TIME_BLOCK times and BLOCK_ENTRIES
-# entries, so memory does not grow with the number of sample times.
-TIME_BLOCK = 1024
+# A column runs to m = max(COLUMN_ENTRIES - 1, m_max) at most, and first
+# to m = m_max + ROW_ROOM.  On the benchmark's transitions ops (seeds 1-10,
+# 780,600 sample times) a row ended at most 33 entries past m_max: 0.008%
+# of the rows_high_n times, and none of frame_sweep's, need more than the
+# first length; those are recomputed once at the full length.
+COLUMN_ENTRIES = 501
+ROW_ROOM = 32
+# A block of columns holds at most BLOCK_ENTRIES entries, so memory does
+# not grow with the number of sample times.
 BLOCK_ENTRIES = 1 << 19
 
 
@@ -158,6 +165,12 @@ def overlap_amplitude(n: int, m: int, d: DisplacementParams) -> complex:
     return complex(sign[m]) * cmath.exp(log_mag[m] + 1j * (0.5 * d.a * d.b + abs(m - n) * theta))
 
 
+def _row_stop(cumulative: np.ndarray, tail_tol: float) -> np.ndarray:
+    """Length of the shortest prefix whose mass exceeds 1 - tail_tol, along
+    the last axis of the partial sums; one past the end where none does."""
+    return np.count_nonzero(cumulative <= 1.0 - tail_tol, axis=-1) + 1
+
+
 def _checked(n: int, probs: np.ndarray) -> np.ndarray:
     if not _valid_row(probs):
         raise NumericError(f"transition row from n={n} is not finite or not in [0, 1]",
@@ -170,38 +183,27 @@ def probability_column(n: int, d: DisplacementParams, m_stop: int) -> np.ndarray
     return _checked(n, np.exp(2.0 * _laguerre_column(_check_n(n), d.poisson_mean(), m_stop)[1]))
 
 
-def probability_columns(n: int, displacements, m_first: int, m_cap: int,
+def probability_columns(n: int, displacements, m_max: int,
                         tail_tol: float) -> Iterator[np.ndarray]:
-    """``probability_column`` at each displacement in turn, only as long as
-    its row needs.
+    """P(n -> m) at each displacement in turn, as far as its row (cut at
+    1 - tail_tol) or m <= m_max needs; NumericError at the first invalid one.
 
-    Each column is the prefix of the m_cap-entry one, cut at the first
-    length of m_first, 2 m_first, 4 m_first, ... (capped at m_cap) whose
-    mass exceeds 1 - tail_tol; a column that never does keeps all m_cap
-    entries.  Columns are computed a block of times at once, and a round
-    of growth recomputes only the times still short of 1 - tail_tol.
-    NumericError at the first invalid column, in order.
+    A column is first m_max + ROW_ROOM + 1 entries long, computed a block
+    of times at once; one whose row has not ended there is the full
+    ``probability_column`` of max(COLUMN_ENTRIES, m_max + 1) entries, where
+    ``probability_row`` fails if the row has not ended either.  Each is a
+    prefix of the full column, and only its computed entries are checked.
     """
     n = _check_n(n)
     lams = np.array([d.poisson_mean() for d in displacements], dtype=float)
-    rows = max(1, min(TIME_BLOCK, BLOCK_ENTRIES // m_cap))
+    full = max(COLUMN_ENTRIES, m_max + 1)
+    first = min(m_max + ROW_ROOM + 1, full)
+    rows = max(1, BLOCK_ENTRIES // full)
     for start in range(0, lams.size, rows):
-        block = lams[start:start + rows]
-        columns = [None] * block.size
-        todo = np.arange(block.size)
-        length = min(m_first, m_cap)
-        while todo.size:
-            probs = np.exp(2.0 * _laguerre_column(n, block[todo], length)[1])
-            # the row's test in probability_row: the last partial sum passes 1 - tail_tol
-            held = np.cumsum(probs, axis=1)[:, -1] > 1.0 - tail_tol
-            if length == m_cap:
-                held[:] = True
-            for i, column in zip(todo[held].tolist(), probs[held]):
-                columns[i] = column
-            todo = todo[~held]
-            length = min(2 * length, m_cap)
-        for column in columns:
-            yield _checked(n, column)
+        probs = np.exp(2.0 * _laguerre_column(n, lams[start:start + rows], first)[1])
+        ended = _row_stop(np.cumsum(probs, axis=1), tail_tol) <= first
+        for d, column, done in zip(displacements[start:start + rows], probs, ended.tolist()):
+            yield _checked(n, column) if done else probability_column(n, d, full)
 
 
 def overlap_by_quadrature(n: int, m: int, d: DisplacementParams, order: int) -> complex:
@@ -234,8 +236,8 @@ def probability_row(n: int, column: np.ndarray, tail_tol: float) -> TransitionRo
     if tail_tol <= 0.0:
         raise DomainError(f"tail_tol must be positive, got {tail_tol!r}")
     n = _check_n(n)
-    cumulative = np.cumsum(column)  # non-decreasing, so searchable
-    stop = int(np.searchsorted(cumulative, 1.0 - tail_tol, side="right")) + 1
+    cumulative = np.cumsum(column)
+    stop = int(_row_stop(cumulative, tail_tol))
     if stop > len(column):
         raise NumericError(f"transition row from n={n} did not capture 1 - {tail_tol} "
                            f"within m <= {len(column) - 1}", partial=tuple(column.tolist()))

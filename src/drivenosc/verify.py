@@ -341,10 +341,10 @@ def check_row_unitarity(ctx) -> float:
     worst = 0.0
     for n in range(6):
         d = transitions.DisplacementParams(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        total = np.cumsum(transitions.probability_column(n, d, 401))
-        # the first partial sum above 1 - 1e-12, or the whole column's
-        stop = min(int(np.searchsorted(total, 1.0 - 1e-12, side="right")), total.size - 1)
-        worst = max(worst, abs(float(total[stop]) - 1.0))
+        # the column the transitions command ships, summed to where its row ends
+        column, = transitions.probability_columns(n, [d], ctx.scenario.m_max, 1e-12)
+        row = transitions.probability_row(n, column, 1e-12)
+        worst = max(worst, abs(float(np.cumsum(column)[row.truncation_m - 1]) - 1.0))
     return worst
 
 
@@ -354,7 +354,7 @@ def check_ground_row_poisson(ctx) -> float:
     for _ in range(6):
         d = transitions.DisplacementParams(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
         lam = d.poisson_mean()
-        got = transitions.probability_column(0, d, 16)
+        got, = transitions.probability_columns(0, [d], 15, 1e-12)  # covers m <= 15
         for m in range(16):
             ref = math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam > 0 else float(m == 0)
             worst = max(worst, abs(float(got[m]) - ref))

@@ -307,8 +307,8 @@ class TestTransitionsCommand:
             assert at_t[cut:, 3].tolist() == column[cut:].tolist()
 
     def test_grown_columns_equal_the_full_column_route(self, tmp_path):
-        # lambda = 0 at t = 0, rows near lambda = 2 K^2 = 50 that need more
-        # than the first m_max + 33 entries, and more samples than one block
+        # lambda = 0 at t = 0, rows near lambda = 2 K^2 = 50 that run past
+        # the first m_max + ROW_ROOM + 1 entries, and more samples than one block
         scn = write_scenario(tmp_path, forcing={"type": "constant", "K": 5.0},
                              time={"t_max": math.pi, "samples": 1100},
                              quantum={"n_initial": 20, "m_max": 10, "tail_tol": 1e-12})
@@ -326,11 +326,32 @@ class TestTransitionsCommand:
             rows.append({"n": 20, "t": t, "lambda": lam, "probabilities": list(row.probabilities),
                          "tail_bound": row.tail_bound})
         assert rows[0]["lambda"] == 0.0
-        assert len(rows) > transitions.TIME_BLOCK
-        assert max(len(row["probabilities"]) for row in rows) > 2 * (10 + 33)
+        assert len(rows) > transitions.BLOCK_ENTRIES // 501
+        assert max(len(row["probabilities"]) for row in rows) > 10 + transitions.ROW_ROOM + 1
         assert (tmp_path / "transitions.csv").read_text() == "\n".join(lines) + "\n"
         assert (tmp_path / "transition_rows.json").read_text() == \
             json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+    def test_entries_past_the_computed_column_are_not_checked(self, tmp_path, monkeypatch):
+        # only the entries a column is computed to (here the first m_max +
+        # ROW_ROOM + 1, where every row ends) are checked, so a bad entry
+        # further out, which the full 501-entry column holds, fails nothing
+        laguerre_column = transitions._laguerre_column
+
+        def bad_past_first(n, lam, m_stop):
+            sign, log_mag = laguerre_column(n, lam, m_stop)
+            log_mag[..., 16 + transitions.ROW_ROOM + 1:] = 1.0  # P = e^2 > 1
+            return sign, log_mag
+
+        scn = write_scenario(tmp_path, time={"t_max": math.pi, "samples": 9},
+                             quantum={"n_initial": 2, "m_max": 16})
+        assert main(["transitions", "--scenario", str(scn), "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(transitions, "_laguerre_column", bad_past_first)
+        assert main(["transitions", "--scenario", str(scn), "--out", str(tmp_path / "b")]) == 0
+        for name in ("transitions.csv", "transition_rows.json"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+        with pytest.raises(NumericError):
+            probability_column(2, DisplacementParams(1.0, 0.5), 501)
 
     def test_row_past_m_500_below_m_max_is_a_numeric_failure(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, forcing={"type": "constant", "K": 5.0},
@@ -381,7 +402,7 @@ class TestTransitionsCommand:
 class TestWriteCsv:
     def test_blocks_equal_formatting_each_value(self, tmp_path):
         rng = np.random.default_rng(7)
-        long = rng.standard_normal(cli.CSV_CHUNK + 904).tolist()
+        long = rng.standard_normal(5000).tolist()
         blocks = [
             (0.25, 3, [0, 1, 2, 3], [0.1, -0.0, 1e-300, 2.0 / 3.0], -0.0),
             (-0.0, 7, list(range(len(long))), long, math.pi),
