@@ -43,6 +43,7 @@ from .schrodinger import (
     eigenstate_wavefunction,
     energy_expectation,
     evolve_lab,
+    evolve_states,
     lab_to_moving,
     momentum_representation,
     moving_to_lab,
@@ -84,6 +85,7 @@ __all__ = [
     "energy_expectation",
     "evolve",
     "evolve_lab",
+    "evolve_states",
     "forcing_from_dict",
     "gauss_hermite_rule",
     "gaussian_integral",

@@ -8,6 +8,7 @@ Natural units with hbar = 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -135,16 +136,26 @@ def gauss_hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     the far tails.  Against 40-digit mpmath at orders 40-200 the nodes lie
     within 7e-14 absolute (4e-15 relative) and the weights within 5e-12
     relative: the outer nodes' error, amplified through e^{-x^2}.
-    """
-    from scipy.linalg import eigh_tridiagonal  # loaded only where the oracle runs
 
+    Each order is computed once per process and the same two read-only
+    arrays are returned on every later call.
+    """
     if order != int(order) or order < 1:
         raise DomainError(f"rule order must be a positive integer, got {order!r}")
     if order > _MAX_RULE_ORDER:
         raise DomainError(f"rule order {order} exceeds stable limit {_MAX_RULE_ORDER}")
-    order = int(order)
+    return _rule(int(order))
+
+
+@functools.lru_cache(maxsize=_MAX_RULE_ORDER)
+def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.linalg import eigh_tridiagonal  # loaded only where the oracle runs
+
     nodes = eigh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1, order) / 2.0),
                              eigvals_only=True)
     weights = np.exp(-nodes * nodes) / (order * eigenstate(_UNIT, order - 1, nodes) ** 2)
     # polish the exact symmetry of the rule
-    return 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
+    rule = 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule

@@ -628,23 +628,43 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert len(report["checks"]) == 25
 
+    def test_very_short_window_passes_the_transformation_law(self, tmp_path):
+        # at t_max 1e-8 the step is 1e-10: differencing F1 whole would carry
+        # the rounding of its t-independent x eta term, ~eps |F1| / h
+        scn = write_scenario(
+            tmp_path,
+            forcing={"type": "sinusoid", "A": 1.0, "Omega": 1.3, "phi": 0.2},
+            time={"t_max": 1e-8, "samples": 9},
+        )
+        assert main(["verify", "--scenario", str(scn), "--suite", "canonical",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        law = next(c for c in report["checks"] if c["check"] == "hamiltonian_transformation_law")
+        assert law["status"] == "pass" and law["tolerance"] == 1e-6
+
     def test_grid_solver_runs_only_on_the_driven_side(self, tmp_path, monkeypatch,
                                                       default_scenario):
         # the unforced side of both covariance checks is the exact
-        # e^{-i E_n t} phase per mode: three driven runs and nothing else
-        calls = []
-        evolve_lab = schrodinger.evolve_lab
+        # e^{-i E_n t} phase per mode: the three driven states are stepped
+        # together in one stacked run, and nothing else is stepped
+        stacked, single = [], []
+        evolve_states, evolve_lab = schrodinger.evolve_states, schrodinger.evolve_lab
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
+        def counted_states(params, spec, states, *args, **kwargs):
+            stacked.append((spec, len(states)))
+            return evolve_states(params, spec, states, *args, **kwargs)
+
+        def counted_lab(*args, **kwargs):
+            single.append(args[1])
             return evolve_lab(*args, **kwargs)
 
-        monkeypatch.setattr(schrodinger, "evolve_lab", counted)
+        monkeypatch.setattr(schrodinger, "evolve_states", counted_states)
+        monkeypatch.setattr(schrodinger, "evolve_lab", counted_lab)
         scn = tmp_path / "default.json"
         scn.write_text(json.dumps(default_scenario))
         assert main(["verify", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
-        assert len(calls) == 3
-        assert all(spec == Scenario.from_dict(default_scenario).forcing for spec in calls)
+        assert stacked == [(Scenario.from_dict(default_scenario).forcing, 3)]
+        assert single == []
 
     def test_coarse_timestep_fails_covariance(self, tmp_path):
         scn = write_scenario(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from drivenosc import hermite
 from drivenosc import (
     DomainError,
     OscillatorParams,
@@ -205,3 +206,27 @@ class TestGaussHermiteRule:
             gauss_hermite_rule(0)
         with pytest.raises(DomainError):
             gauss_hermite_rule(201)
+
+
+class TestGaussHermiteRuleCache:
+    @pytest.mark.parametrize("order", [1, 2, 60, 80, 200])
+    def test_cached_rule_is_bit_equal_to_a_fresh_one(self, order):
+        nodes, weights = gauss_hermite_rule(order)
+        fresh_nodes, fresh_weights = hermite._rule.__wrapped__(order)
+        np.testing.assert_array_equal(nodes, fresh_nodes)
+        np.testing.assert_array_equal(weights, fresh_weights)
+        again = gauss_hermite_rule(float(order))
+        assert again[0] is nodes and again[1] is weights
+
+    def test_returned_arrays_reject_writes(self):
+        nodes, weights = gauss_hermite_rule(60)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights *= 2.0
+        assert gauss_hermite_rule(60)[1][0] == hermite._rule.__wrapped__(60)[1][0]
+
+    @pytest.mark.parametrize("order", [0, -3, 2.5, 201, 10**6])
+    def test_bad_orders_raise_before_the_cache(self, order):
+        with pytest.raises(DomainError):
+            gauss_hermite_rule(order)

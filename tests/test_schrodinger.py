@@ -22,6 +22,7 @@ from drivenosc import (
     energy_expectation,
     evolve,
     evolve_lab,
+    evolve_states,
     lab_to_moving,
     momentum_representation,
     moving_to_lab,
@@ -30,11 +31,7 @@ from drivenosc import (
 )
 from drivenosc.canonical import build_frame
 from drivenosc.classical import PhaseState
-from drivenosc.schrodinger import (
-    kinetic_expectation,
-    momentum_expectation,
-    position_expectation,
-)
+from drivenosc.schrodinger import kinetic_expectation
 from drivenosc.verify import _random_modes
 
 
@@ -71,6 +68,16 @@ class RecordingForcing:
 
 def l2_gap(grid, a, b):
     return math.sqrt(float(np.sum(np.abs(a - b) ** 2)) * grid.dx)
+
+
+def position_expectation(psi):
+    return float(np.sum(psi.grid.x * np.abs(psi.values) ** 2) * psi.grid.dx)
+
+
+def momentum_expectation(psi):
+    k = psi.grid.wavenumbers
+    ppsi = np.fft.ifft(k * np.fft.fft(psi.values))
+    return float(np.real(np.sum(np.conj(psi.values) * ppsi) * psi.grid.dx))
 
 
 def random_state(params, grid, rng, n_modes=7):
@@ -277,6 +284,48 @@ class TestFusedStepper:
         steps = [(0.123 + j * grid.dt, grid.dt) for j in range(768)]
         assert l2_gap(grid, partial.values, strang_reference(params11, spec, psi0, steps)) <= 1e-12
         assert abs(partial.norm() - 1.0) < 1e-12
+
+
+class TestStackedStepper:
+    @pytest.mark.parametrize("spec, t0, t_final", [
+        (SinusoidForcing(0.7, 1.3, 0.2), 0.0, 1.0),
+        # 2355 steps of 1e-3 and a 0.4e-3 remainder, the pulse on inside
+        (PulseForcing(1.0, 0.5, 1.9), 0.1234, 2.4788),
+        # every block vanishes: no force read, no drive phase
+        (ZeroForcing(), 0.0, 0.7),
+    ], ids=["sinusoid", "pulse-remainder", "zero"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rows_match_separate_runs(self, params11, default_grid, spec, t0, t_final, k):
+        rng = np.random.default_rng(49)
+        states = [random_state(params11, default_grid, rng, n_modes=5) for _ in range(k)]
+        stacked = evolve_states(params11, spec, states, t_final, t0)
+        assert len(stacked) == k
+        for psi0, row in zip(states, stacked):
+            alone = evolve_lab(params11, spec, psi0, t_final, t0=t0)
+            assert np.array_equal(row.values, alone.values)
+
+    def test_boundary_error_names_the_failing_row(self, params11):
+        grid = GridSpec(-6.0, 6.0, 256, 1e-3)
+        still = coherent_wavefunction(params11, 0.0, 0.0, grid)
+        fast = coherent_wavefunction(params11, 0.0, 12.0, grid)
+        # the row given a large kick reaches the edge by the first check,
+        # after 256 steps; the rows at rest stay inside
+        with pytest.raises(BoundaryError) as err:
+            evolve_states(params11, ZeroForcing(), [still, fast, still], 1.0)
+        assert str(err.value).startswith("evolution at t=0.256, stack row 1: ")
+        partial = err.value.partial
+        steps = [(j * grid.dt, grid.dt) for j in range(256)]
+        ref = strang_reference(params11, ZeroForcing(), fast, steps)
+        assert l2_gap(grid, partial.values, ref) <= 1e-12
+
+    def test_states_must_share_one_grid(self, params11, default_grid):
+        other = GridSpec(default_grid.x_min, default_grid.x_max, 512, default_grid.dt)
+        with pytest.raises(DomainError):
+            evolve_states(params11, ZeroForcing(),
+                          [eigenstate_wavefunction(params11, 0, default_grid),
+                           eigenstate_wavefunction(params11, 0, other)], 1.0)
+        with pytest.raises(DomainError):
+            evolve_states(params11, ZeroForcing(), [], 1.0)
 
 
 class TestFrameMaps:
