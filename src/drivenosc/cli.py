@@ -45,14 +45,17 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
     """The header, then the rows of each block, every value as %.17g.
 
     A block holds one entry per column: a list (that column's value on
-    each row; at least one column is a list) or a scalar (the same value
-    on every row of the block, formatted once).
+    each row; at least one column is a list or a range), a range (an
+    index column, written as %d: the same text as %.17g for any int
+    below 2**53, far more rows than a block can hold) or a scalar (the
+    same value on every row of the block, formatted once).
     """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            arrays = [c for c in block if isinstance(c, list)]
-            line = ",".join("%.17g" if isinstance(c, list) else "%.17g" % c for c in block) + "\n"
+            arrays = [c for c in block if isinstance(c, (list, range))]
+            line = ",".join("%d" if isinstance(c, range) else "%.17g" if isinstance(c, list)
+                            else "%.17g" % c for c in block) + "\n"
             rows = len(arrays[0])
             values = [None] * (rows * len(arrays))
             for j, column in enumerate(arrays):
@@ -91,11 +94,36 @@ def _scenario_frame(scn: Scenario):
     return build_frame(scn.params, scn.forcing, scn.t_max)
 
 
-def _displacements(scn: Scenario) -> tuple[np.ndarray, list]:
-    """The sample times and the displacement at each, from one frame read."""
+def _displacements(scn: Scenario) -> tuple[np.ndarray, list, list[float]]:
+    """The sample times, the displacement at each from one frame read, and
+    its excitation mean lambda; NumericError where lambda overflows."""
     times = _times(scn)
     x_nh, xdot_nh, _ = _scenario_frame(scn).values(times)
-    return times, transitions.DisplacementParams.series(scn.params, x_nh, xdot_nh)
+    displacements = transitions.DisplacementParams.series(scn.params, x_nh, xdot_nh)
+    lams = [d.poisson_mean() for d in displacements]
+    if not all(map(math.isfinite, lams)):
+        i = next(i for i, lam in enumerate(lams) if not math.isfinite(lam))
+        d = displacements[i]
+        raise NumericError(f"excitation mean lambda = (a^2 + b^2)/2 overflows at "
+                           f"t={times[i]:.17g}, (a, b) = ({d.a!r}, {d.b!r})")
+    return times, displacements, lams
+
+
+def _write_rows_json(path: Path, rows) -> None:
+    """``json.dump(rows, fh, indent=2, sort_keys=True)`` and a newline, for
+    a non-empty list of transition rows with finite floats, written row by
+    row from one template (json's encoder writes a finite float as
+    ``float.__repr__`` does)."""
+    template = ('  {\n    "lambda": %s,\n    "n": %d,\n    "probabilities": [\n      %s\n'
+                '    ],\n    "t": %s,\n    "tail_bound": %s\n  }')
+    with open(path, "w") as fh:
+        fh.write("[\n")
+        for i, row in enumerate(rows):
+            fh.write((",\n" if i else "") + template % (
+                float.__repr__(row["lambda"]), row["n"],
+                ",\n      ".join(map(float.__repr__, row["probabilities"])),
+                float.__repr__(row["t"]), float.__repr__(row["tail_bound"])))
+        fh.write("\n]\n")
 
 
 def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
@@ -103,35 +131,31 @@ def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
     frame read, the columns in blocks of times, each only as long as its
     row or m <= m_max needs (at most max(501, m_max + 1) entries)."""
     n = scn.n_initial
-    times, displacements = _displacements(scn)
+    times, displacements, lams = _displacements(scn)
     columns = transitions.probability_columns(n, displacements, scn.m_max, scn.tail_tol)
     csv_blocks = []
     json_rows = []
-    for t, d, column in zip(times.tolist(), displacements, columns):
+    for t, lam, column in zip(times.tolist(), lams, columns):
         row = transitions.probability_row(n, column, scn.tail_tol)
         probs = column[:max(row.truncation_m, scn.m_max + 1)].tolist()  # row or m <= m_max
-        lam = d.poisson_mean()
-        csv_blocks.append((t, n, list(range(len(probs))), probs, lam))
+        csv_blocks.append((t, n, range(len(probs)), probs, lam))
         json_rows.append({
             "n": n,
             "t": t,
             "lambda": lam,
-            "probabilities": list(row.probabilities),
+            "probabilities": row.probabilities,
             "tail_bound": row.tail_bound,
         })
     csv_path = out_dir / "transitions.csv"
     _write_csv(csv_path, ["t", "n", "m", "P", "lambda"], csv_blocks)
     json_path = out_dir / "transition_rows.json"
-    with open(json_path, "w") as fh:
-        json.dump(json_rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_rows_json(json_path, json_rows)
     return [csv_path, json_path]
 
 
 def cmd_survival(scn: Scenario, out_dir: Path) -> list[Path]:
     """Ground-state survival probability exp(-lambda) over the time grid."""
-    times, displacements = _displacements(scn)
-    lams = [d.poisson_mean() for d in displacements]
+    times, _, lams = _displacements(scn)
     path = out_dir / "survival.csv"
     _write_csv(path, ["t", "lambda", "survival"],
                [(times.tolist(), lams, [math.exp(-lam) for lam in lams])])

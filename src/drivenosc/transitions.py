@@ -105,8 +105,14 @@ class TransitionRow:
 
 def _valid_row(probs) -> bool:
     """Each entry in [0, 1] and the sum at most 1, up to rounding; NaN fails."""
-    p = np.asarray(probs, dtype=float)
-    return bool(np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)) and p.sum() <= 1.0 + 1e-10)
+    return bool(_valid_rows(np.asarray(probs, dtype=float)))
+
+
+def _valid_rows(p: np.ndarray) -> np.ndarray:
+    """``_valid_row`` along the last axis: one decision per row of a block.
+    Each row is summed on its own, in the order a 1-D sum takes."""
+    in_range = np.all((p >= -1e-12) & (p <= 1.0 + 1e-12), axis=-1)
+    return in_range & (p.sum(axis=-1) <= 1.0 + 1e-10)
 
 
 def _laguerre_column(n: int, lam, m_stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +198,8 @@ def probability_columns(n: int, displacements, m_max: int,
     of times at once; one whose row has not ended there is the full
     ``probability_column`` of max(COLUMN_ENTRIES, m_max + 1) entries, where
     ``probability_row`` fails if the row has not ended either.  Each is a
-    prefix of the full column, and only its computed entries are checked.
+    prefix of the full column, and only its computed entries are checked,
+    once per block; ``_checked`` words the failure of an invalid row.
     """
     n = _check_n(n)
     lams = np.array([d.poisson_mean() for d in displacements], dtype=float)
@@ -202,8 +209,13 @@ def probability_columns(n: int, displacements, m_max: int,
     for start in range(0, lams.size, rows):
         probs = np.exp(2.0 * _laguerre_column(n, lams[start:start + rows], first)[1])
         ended = _row_stop(np.cumsum(probs, axis=1), tail_tol) <= first
-        for d, column, done in zip(displacements[start:start + rows], probs, ended.tolist()):
-            yield _checked(n, column) if done else probability_column(n, d, full)
+        valid = _valid_rows(probs)
+        for d, column, done, ok in zip(displacements[start:start + rows], probs,
+                                       ended.tolist(), valid.tolist()):
+            if not done:
+                yield probability_column(n, d, full)
+            else:
+                yield column if ok else _checked(n, column)
 
 
 def overlap_by_quadrature(n: int, m: int, d: DisplacementParams, order: int) -> complex:

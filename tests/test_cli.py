@@ -1,4 +1,5 @@
 import concurrent.futures
+import io
 import json
 import math
 import os
@@ -408,18 +409,41 @@ class TestWriteCsv:
             (-0.0, 7, list(range(len(long))), long, math.pi),
             ([1.5, -0.0], 0, [2, 3], 2.0, [4e-17, 5]),
             (1.5, 0, [], [], 2.0),  # no rows
+            (2.5, 40, range(3), [0.25, 0.5, 0.125], 2.0),  # an index column
+            (2.5, 40, range(0), [], 2.0),
+            (-1.0, 9, range(2**53 - 10, 2**53), [0.5] * 10, 3.0),
         ]
         path = tmp_path / "out.csv"
         cli._write_csv(path, ["a", "b", "c", "d", "e"], blocks)
         expected = ["a,b,c,d,e"]
         for block in blocks:
-            lists = [c for c in block if isinstance(c, list)]
+            lists = [c for c in block if isinstance(c, (list, range))]
             for i in range(len(lists[0])):
-                expected.append(",".join("%.17g" % (c[i] if isinstance(c, list) else c)
+                expected.append(",".join("%.17g" % (c[i] if isinstance(c, (list, range)) else c)
                                          for c in block))
         assert expected[1:3] == ["0.25,3,0,0.10000000000000001,-0", "0.25,3,1,-0,-0"]
-        assert expected[-2:] == ["1.5,0,2,2,4.0000000000000003e-17", "-0,0,3,2,5"]
+        assert expected[5005:5007] == ["1.5,0,2,2,4.0000000000000003e-17", "-0,0,3,2,5"]
+        assert expected[5007:5010] == ["2.5,40,0,0.25,2", "2.5,40,1,0.5,2", "2.5,40,2,0.125,2"]
+        assert expected[-1] == "-1,9,9007199254740991,0.5,3"
         assert path.read_text() == "\n".join(expected) + "\n"
+
+
+class TestWriteRowsJson:
+    def test_equals_json_dump(self, tmp_path):
+        rng = np.random.default_rng(11)
+        rows = [
+            {"n": 0, "t": 0.0, "lambda": 0.0, "probabilities": (1.0,), "tail_bound": 0.0},
+            {"n": 3, "t": -0.0, "lambda": 1e-300, "tail_bound": 5e-324,
+             "probabilities": (5e-324, -0.0, 1e-300, 2.0 / 3.0, 0.1, 1.5e-7)},
+            {"n": 40, "t": 1e16, "lambda": 1e22, "tail_bound": 9.9e-10,
+             "probabilities": tuple(rng.random(70).tolist())},
+        ]
+        for written in (rows, rows[:1]):
+            path = tmp_path / "rows.json"
+            cli._write_rows_json(path, written)
+            expected = io.StringIO()
+            json.dump(written, expected, indent=2, sort_keys=True)
+            assert path.read_text() == expected.getvalue() + "\n"
 
 
 class TestSilentDrive:
@@ -462,6 +486,23 @@ class TestOverflowingDrive:
         scn = write_scenario(tmp_path, forcing={"type": "constant", "K": 1e308})
         assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 3
         assert "response walk" in capsys.readouterr().err
+
+
+class TestOverflowingMean:
+    @pytest.mark.parametrize("command", ["transitions", "survival"])
+    def test_overflowing_lambda_is_a_numeric_failure(self, tmp_path, command):
+        # a and b stay finite, but a^2 + b^2 overflows from t = 0.5 on
+        scn = write_scenario(tmp_path, params={"m": 1.0, "omega": 1e-6},
+                             forcing={"type": "constant", "K": 6e151},
+                             time={"t_max": 1.0, "samples": 3},
+                             initial_state={"x": 0.1, "p": 0.0})
+        proc = run_cli(command, "--scenario", str(scn), "--out", str(tmp_path))
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{scn}: numerical failure: excitation mean lambda = "
+                                   "(a^2 + b^2)/2 overflows at t=0.5, (a, b) = (7.49")
+        assert [p.name for p in tmp_path.iterdir()] == ["scn.json"]
 
 
 class TestSurvivalCommand:

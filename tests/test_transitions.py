@@ -18,8 +18,9 @@ from drivenosc import (
     probability_column,
     probability_row,
 )
+from drivenosc import transitions
 from drivenosc.canonical import build_frame
-from drivenosc.transitions import _laguerre_column
+from drivenosc.transitions import _laguerre_column, _valid_row, _valid_rows
 
 
 def poisson(lam, m):
@@ -334,3 +335,75 @@ class TestHighQuantumNumbers:
     def test_row_rejects_nan(self):
         with pytest.raises(DomainError):
             TransitionRow(n=0, probabilities=(math.nan,), truncation_m=1, tail_bound=0.0)
+
+
+class TestBlockValidity:
+    def test_block_decides_each_row_as_valid_row(self):
+        edges = np.array([
+            [0.5, 0.5, 0.0],
+            [-1e-12, 0.5, 0.5],  # at the lower bound
+            [-1e-11, 0.5, 0.5],  # below it
+            [1.0 + 1e-12, 0.0, 0.0],  # at the upper bound
+            [1.0 + 1e-11, 0.0, 0.0],  # above it, summing to less than 1 + 1e-10
+            [0.5, 0.5 + 1e-10, 0.0],
+            [0.5, 0.5 + 2e-10, 0.0],  # every entry in range, the sum above
+            [math.nan, 0.0, 0.0],
+            [math.inf, 0.0, 0.0],
+        ])
+        assert _valid_rows(edges).tolist() == [_valid_row(r.tolist()) for r in edges]
+        assert _valid_rows(edges).tolist() == [True, True, False, True, False, True, False,
+                                               False, False]
+        # long rows whose sums straddle 1 + 1e-10 by a few units in the last place
+        rng = np.random.default_rng(17)
+        for length in (2, 7, 49, 130, 501):
+            block = rng.random((200, length))
+            block /= block.sum(axis=1, keepdims=True)
+            block *= 1.0 + 1e-10 + rng.integers(-4, 5, size=(200, 1)) * 2.2e-16
+            decided = _valid_rows(block).tolist()
+            assert decided == [_valid_row(r.tolist()) for r in block]
+            assert 0 < sum(decided) < 200
+
+    @pytest.mark.parametrize("fault", ["nan", "above_one", "sum"])
+    def test_fault_inside_the_computed_prefix_fails_with_the_row(self, monkeypatch, fault):
+        # the block check passes rows 0 and 2 and hands row 1 to _checked,
+        # whose message and partial (the computed prefix) are unchanged;
+        # a bad entry past the prefix, held only by a full-length column,
+        # still fails nothing
+        n, m_max = 2, 16
+        first = m_max + transitions.ROW_ROOM + 1
+        ds = [displacement(lam, 0.3) for lam in (0.5, 1.0, 1.5)]
+        clean = list(transitions.probability_columns(n, ds, m_max, 1e-9))
+        assert [len(c) for c in clean] == [first] * 3
+
+        bad_lam = ds[1].poisson_mean()
+
+        def faulty(n_, lam, m_stop):
+            sign, log_mag = _laguerre_column(n_, lam, m_stop)
+            log_mag[..., first:] = 1.0  # P = e^2 > 1
+            for i in np.flatnonzero(np.atleast_1d(lam) == bad_lam):
+                row = np.atleast_2d(log_mag)[i]
+                if fault == "nan":
+                    row[3] = math.nan
+                elif fault == "above_one":
+                    row[:] = -math.inf
+                    row[0] = 0.5 * math.log1p(1e-11)
+                else:
+                    row += 0.5 * math.log((1.0 + 2e-10) / math.fsum(np.exp(2.0 * row)))
+            return sign, log_mag
+
+        monkeypatch.setattr(transitions, "_laguerre_column", faulty)
+        columns = transitions.probability_columns(n, ds, m_max, 1e-9)
+        assert next(columns).tolist() == clean[0].tolist()
+        with pytest.raises(NumericError) as exc:
+            next(columns)
+        assert str(exc.value) == "transition row from n=2 is not finite or not in [0, 1]"
+        lams = np.array([d.poisson_mean() for d in ds])
+        expected = np.exp(2.0 * faulty(n, lams, first)[1][1])
+        assert len(exc.value.partial) == first
+        assert not _valid_row(expected)
+        assert isinstance(exc.value.partial, tuple)
+        np.testing.assert_array_equal(np.array(exc.value.partial), expected)
+        assert list(transitions.probability_columns(n, ds[::2], m_max, 1e-9))[1].tolist() == \
+            clean[2].tolist()
+        with pytest.raises(NumericError):
+            probability_column(n, ds[0], 501)
