@@ -13,7 +13,6 @@ from .classical import (
     PhaseState,
     evolve,
     laboratory_ellipse,
-    nonhomogeneous,
     propagator,
     quadratic_form_matrix,
     quadratic_invariant,
@@ -95,7 +94,6 @@ __all__ = [
     "laboratory_ellipse",
     "momentum_representation",
     "moving_to_lab",
-    "nonhomogeneous",
     "overlap",
     "overlap_amplitude",
     "overlap_by_quadrature",

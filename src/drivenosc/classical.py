@@ -14,8 +14,9 @@ exported here.
 This module owns the one response kernel, ``_panels``: it carries
 (x, p, J = integral_0^t x k ds) across 15-point Kronrod panels, exact to
 rounding.  ``_walk`` chains it over [0, t1] and ``_resume`` reads the
-state at any batch of times from a walk's stored edges.  ``evolve``,
-``nonhomogeneous`` and the canonical frame all run on it.  ``_duhamel``
+state at any batch of times from a walk's stored edges.  ``evolve`` and
+the canonical frame run on it, and ``trajectory`` turns a frame read into
+the sampled orbit and its conserved energy.  ``_duhamel``
 integrates the convolution directly by adaptive Gauss-Kronrod, with no
 carried state and no spectral matrix, and serves only as the independent
 oracle behind ``CanonicalFrame.exact_values``.
@@ -98,9 +99,16 @@ def quadratic_form_matrix(params: OscillatorParams) -> np.ndarray:
     return np.diag([0.5 * params.m * params.omega**2, 0.5 / params.m])
 
 
+def _energy(params: OscillatorParams, x, p):
+    """(m (w x)^2 + p (p / m)) / 2 for floats or arrays: no product
+    overflows unless the energy does."""
+    m, wx = params.m, params.omega * x
+    return 0.5 * (m * wx * wx + p * (p / m))
+
+
 def quadratic_invariant(params: OscillatorParams, z: PhaseState) -> float:
     """<z, Q z> with Q = diag(m w^2/2, 1/(2m)) — the unforced energy."""
-    return 0.5 * (params.m * params.omega**2 * z.x**2 + z.p**2 / params.m)
+    return _energy(params, z.x, z.p)
 
 
 def _spectral_matrix(nodes: np.ndarray) -> np.ndarray:
@@ -231,21 +239,34 @@ def _resume(params: OscillatorParams, spec: ForcingSpec, edges, live, xs, ps, js
     return x, p, j
 
 
-def nonhomogeneous(params: OscillatorParams, spec: ForcingSpec, t: float) -> PhaseState:
-    """Zero-initial-condition response z_nh(t), by one walk from 0: the
-    moving frame's center."""
+def evolve(params: OscillatorParams, z0: PhaseState, spec: ForcingSpec,
+           t: float) -> PhaseState:
+    """State at time t >= 0: U(t) z0 plus the response z_nh(t) from rest,
+    by one walk from 0; from z0 = 0 it is the moving frame's center."""
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"the response needs finite t >= 0, got {t!r}")
     _, _, xs, ps, _ = _walk(params, spec, t)
-    return PhaseState(float(xs[-1]), float(ps[-1]))
-
-
-def evolve(params: OscillatorParams, z0: PhaseState, spec: ForcingSpec,
-           t: float) -> PhaseState:
-    """State at time t >= 0: U(t) z0 plus the driven response z_nh(t)."""
-    znh = nonhomogeneous(params, spec, t)
     z = propagator(params, t) @ z0.as_array()
-    return PhaseState(float(z[0]) + znh.x, float(z[1]) + znh.p)
+    return PhaseState(float(z[0]) + float(xs[-1]), float(z[1]) + float(ps[-1]))
+
+
+def trajectory(params: OscillatorParams, z0: PhaseState, times: np.ndarray,
+               x_nh: np.ndarray, xdot_nh: np.ndarray):
+    """The orbit from z0 sampled at ``times``, given the frame read there:
+    (z, z_nh, invariant) with z = U(t) z0 + z_nh, z_nh = (x_nh, m xdot_nh)
+    as (samples, 2) arrays, and the unforced energy of z - z_nh, which the
+    flow conserves.  DomainError at the first time that energy is not finite."""
+    z_nh = np.stack([x_nh, params.m * xdot_nh], axis=1)
+    z = propagator(params, times) @ z0.as_array() + z_nh
+    rel = z - z_nh
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rel makes it non-finite
+        invariant = _energy(params, rel[:, 0], rel[:, 1])
+    if not np.all(np.isfinite(invariant)):
+        i = int(np.argmin(np.isfinite(invariant)))
+        x, p = rel[i].tolist()
+        raise DomainError(f"phase-space point must be finite, with a finite invariant, "
+                          f"got ({x!r}, {p!r}) at t={times[i]:.17g}")
+    return z, z_nh, invariant
 
 
 def _duhamel(params: OscillatorParams, spec: ForcingSpec, t0: float, t1: float,
@@ -271,7 +292,7 @@ def laboratory_ellipse(params: OscillatorParams, K: float, t: float) -> PhaseSta
 
         x_nh = K (1 - cos(w t)) / (m w^2),   p_nh = K sin(w t) / w
 
-    (momentum convention p = m xdot).  Matches nonhomogeneous() for every
+    (momentum convention p = m xdot).  Matches evolve() from rest for every
     mass; needs w > 0, since the w = 0 orbit is no longer an ellipse.
     """
     w = params.omega

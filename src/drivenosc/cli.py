@@ -68,37 +68,23 @@ def _times(scn: Scenario) -> np.ndarray:
 
 
 def cmd_classical(scn: Scenario, out_dir: Path) -> list[Path]:
-    """Sampled trajectory z = U(t) z0 + z_nh(t), with the response z_nh read
-    off the scenario frame in one pass, and the conserved form of z - z_nh,
-    each column computed over all sample times at once."""
+    """Sampled trajectory, its response z_nh and the conserved form of
+    z - z_nh, from one read of the scenario frame (``classical.trajectory``)."""
     times = _times(scn)
-    x_nh, xdot_nh, _ = _scenario_frame(scn).values(times)
-    z_nh = np.stack([x_nh, scn.params.m * xdot_nh], axis=1)
-    z = classical.propagator(scn.params, times) @ scn.initial_state.as_array() + z_nh
-    rel = z - z_nh
-    m, w = scn.params.m, scn.params.omega
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rel makes it non-finite
-        invariant = 0.5 * (m * w**2 * rel[:, 0] ** 2 + rel[:, 1] ** 2 / m)  # quadratic_invariant's form
-    if not np.all(np.isfinite(invariant)):
-        i = int(np.argmin(np.isfinite(invariant)))
-        x, p = rel[i].tolist()
-        raise DomainError(f"phase-space point must be finite, with a finite invariant, "
-                          f"got ({x!r}, {p!r}) at t={times[i]:.17g}")
+    x_nh, xdot_nh, _ = build_frame(scn.params, scn.forcing, scn.t_max).values(times)
+    z, z_nh, invariant = classical.trajectory(scn.params, scn.initial_state, times,
+                                              x_nh, xdot_nh)
     path = out_dir / "trajectory.csv"
     _write_csv(path, ["t", "x", "p", "x_nh", "p_nh", "invariant"],
                [(times.tolist(), *z.T.tolist(), *z_nh.T.tolist(), invariant.tolist())])
     return [path]
 
 
-def _scenario_frame(scn: Scenario):
-    return build_frame(scn.params, scn.forcing, scn.t_max)
-
-
 def _displacements(scn: Scenario) -> tuple[np.ndarray, list, list[float]]:
     """The sample times, the displacement at each from one frame read, and
     its excitation mean lambda; NumericError where lambda overflows."""
     times = _times(scn)
-    x_nh, xdot_nh, _ = _scenario_frame(scn).values(times)
+    x_nh, xdot_nh, _ = build_frame(scn.params, scn.forcing, scn.t_max).values(times)
     displacements = transitions.DisplacementParams.series(scn.params, x_nh, xdot_nh)
     lams = [d.poisson_mean() for d in displacements]
     if not all(map(math.isfinite, lams)):

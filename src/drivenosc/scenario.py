@@ -89,7 +89,6 @@ class Scenario:
             raise DomainError(f"scenario config invalid: {exc.message}") from exc
         params = OscillatorParams(m=data["params"]["m"], omega=data["params"]["omega"])
         init = data.get("initial_state", {})
-        quantum = data.get("quantum", {})
         grid = None
         if "grid" in data:
             g = data["grid"]
@@ -101,11 +100,9 @@ class Scenario:
             t_max=data["time"]["t_max"],
             samples=data["time"]["samples"],
             initial_state=PhaseState(init.get("x", 0.0), init.get("p", 0.0)),
-            n_initial=quantum.get("n_initial", 0),
-            m_max=quantum.get("m_max", 16),
-            tail_tol=quantum.get("tail_tol", 1e-9),
             grid=grid,
             output=data.get("output"),
+            **data.get("quantum", {}),  # n_initial, m_max, tail_tol; else the field defaults
         )
 
     @classmethod

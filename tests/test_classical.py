@@ -15,7 +15,6 @@ from drivenosc import (
     ZeroForcing,
     evolve,
     laboratory_ellipse,
-    nonhomogeneous,
     propagator,
     quadratic_form_matrix,
     quadratic_invariant,
@@ -159,17 +158,19 @@ class TestEvolve:
 
 class TestNonhomogeneous:
     def test_zero_forcing(self):
-        z = nonhomogeneous(OscillatorParams(1.0, 1.0), ZeroForcing(), 4.0)
+        z = evolve(OscillatorParams(1.0, 1.0), PhaseState(0.0, 0.0), ZeroForcing(), 4.0)
         assert (z.x, z.p) == (0.0, 0.0)
 
     def test_constant_quarter_period(self):
-        z = nonhomogeneous(OscillatorParams(1.0, 1.0), ConstantForcing(1.0), math.pi / 2)
+        z = evolve(OscillatorParams(1.0, 1.0), PhaseState(0.0, 0.0), ConstantForcing(1.0),
+                   math.pi / 2)
         assert z.x == pytest.approx(1.0, abs=1e-12)
         assert z.p == pytest.approx(1.0, abs=1e-12)
 
     def test_sinusoid_frozen_oracle_value(self):
         # DOP853 reference at t = 2: (0.07916559477215568, -0.8076341391471754)
-        z = nonhomogeneous(OscillatorParams(1.0, 1.0), SinusoidForcing(1.0, 2.0, 0.0), 2.0)
+        z = evolve(OscillatorParams(1.0, 1.0), PhaseState(0.0, 0.0),
+                   SinusoidForcing(1.0, 2.0, 0.0), 2.0)
         assert z.x == pytest.approx(0.07916559477215568, abs=1e-8)
         assert z.p == pytest.approx(-0.8076341391471754, abs=1e-8)
 
@@ -179,6 +180,16 @@ class TestQuadraticInvariant:
         assert quadratic_invariant(OscillatorParams(1, 2), PhaseState(1, 0)) == pytest.approx(2.0)
         assert quadratic_invariant(OscillatorParams(1, 1), PhaseState(0, 3)) == pytest.approx(4.5)
         assert quadratic_invariant(OscillatorParams(2, 3), PhaseState(1, 2)) == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("m", [1e160, 1e-160, 1e300, 1e-300])
+    def test_finite_wherever_the_energy_is(self, m):
+        # m (w x)^2 and p^2 / m each equal the energy, m/2 or 1/(2m), while
+        # x^2 or p^2 alone overflows
+        if m > 1.0:
+            z, energy = PhaseState(math.sqrt(0.5), -m * math.sqrt(0.5)), 0.5 * m
+        else:
+            z, energy = PhaseState(math.sqrt(0.5) / m, math.sqrt(0.5)), 0.5 / m
+        assert quadratic_invariant(OscillatorParams(m, 1.0), z) == pytest.approx(energy, rel=1e-15)
 
     @pytest.mark.parametrize("spec", [
         ZeroForcing(),
@@ -193,7 +204,7 @@ class TestQuadraticInvariant:
         ref = quadratic_invariant(params, z0)
         for t in np.linspace(0.1, 4.0, 9):
             z = evolve(params, z0, spec, float(t))
-            znh = nonhomogeneous(params, spec, float(t))
+            znh = evolve(params, PhaseState(0.0, 0.0), spec, float(t))
             inv = quadratic_invariant(params, PhaseState(z.x - znh.x, z.p - znh.p))
             assert abs(inv - ref) / max(1.0, abs(ref)) < 1e-8
 
@@ -221,7 +232,7 @@ class TestLaboratoryEllipse:
         params = OscillatorParams(m, w)
         for t in (0.3, 1.1, 2.9):
             closed = laboratory_ellipse(params, K, t)
-            numeric = nonhomogeneous(params, ConstantForcing(K), t)
+            numeric = evolve(params, PhaseState(0.0, 0.0), ConstantForcing(K), t)
             assert closed.x == pytest.approx(numeric.x, abs=1e-11)
             assert closed.p == pytest.approx(numeric.p, abs=1e-11)
 

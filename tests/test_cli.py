@@ -29,11 +29,11 @@ from drivenosc import (
     propagator,
     quadratic_invariant,
 )
-from drivenosc import cli, schrodinger, transitions
+from drivenosc import classical, cli, schrodinger, transitions
 from drivenosc.canonical import CanonicalFrame, build_frame
 from drivenosc.cli import main
 from drivenosc.scenario import REPORT_SCHEMA, SCENARIO_SCHEMA, Scenario
-from drivenosc.verify import _Context
+from drivenosc.verify import _Context, run_suite
 
 
 def write_scenario(tmp_path, name="scn.json", **overrides):
@@ -85,6 +85,25 @@ class TestScenario:
         assert scn.initial_state == PhaseState(0.0, 0.0)
         assert scn.n_initial == 0
         assert scn.tail_tol == 1e-9
+
+    def test_omitted_blocks_carry_the_schema_defaults(self):
+        # the schema records each default once: a scenario holding only the
+        # required blocks carries exactly those values, of the same type
+        scn = Scenario.from_dict({
+            "params": {"m": 1.0, "omega": 1.0},
+            "forcing": {"type": "zero"},
+            "time": {"t_max": 1.0, "samples": 2},
+        })
+        defaults = {(block, key): spec["default"]
+                    for block, section in SCENARIO_SCHEMA["properties"].items()
+                    for key, spec in section.get("properties", {}).items() if "default" in spec}
+        assert set(defaults) == {("initial_state", "x"), ("initial_state", "p"),
+                                 ("quantum", "n_initial"), ("quantum", "m_max"),
+                                 ("quantum", "tail_tol")}
+        carried = {(block, key): getattr(scn if block == "quantum" else getattr(scn, block), key)
+                   for block, key in defaults}
+        assert {k: (v, type(v)) for k, v in carried.items()} \
+            == {k: (v, type(v)) for k, v in defaults.items()}
 
     def test_schema_rejects_missing_sections(self):
         with pytest.raises(DomainError):
@@ -190,6 +209,20 @@ class TestClassicalCommand:
         assert "at t=0" in proc.stderr
         out = tmp_path / "trajectory.csv"
         assert not out.exists() or all_finite_csv(out)
+
+    @pytest.mark.parametrize("m", [1e160, 1e-160, 1e300, 1e-300])
+    def test_extreme_mass_keeps_its_invariant(self, tmp_path, m):
+        # at m 1e160 the orbit reaches p ~ -7e159: p^2 overflows, though the
+        # energy, ~5e159, does not
+        scn = write_scenario(tmp_path, params={"m": m, "omega": 1.0},
+                             forcing={"type": "sinusoid", "A": 1.0, "Omega": 1.3, "phi": 0.2},
+                             initial_state={"x": 1.0, "p": 0.5},
+                             time={"t_max": math.pi, "samples": 5})
+        assert main(["classical", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "trajectory.csv")
+        ref = quadratic_invariant(OscillatorParams(m, 1.0), PhaseState(1.0, 0.5))
+        assert math.isfinite(ref)
+        np.testing.assert_allclose(rows[:, 5], ref, rtol=1e-14)
 
     def test_slow_oscillator_traces_wide_ellipse(self, tmp_path):
         w = 2 * math.pi / 100
@@ -706,6 +739,40 @@ class TestVerifyCommand:
         assert main(["verify", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
         assert stacked == [(Scenario.from_dict(default_scenario).forcing, 3)]
         assert single == []
+
+    def test_overflowing_invariant_exits_as_classical_does(self, tmp_path, default_scenario):
+        # the ellipse check runs the classical command's own trajectory, so
+        # an energy that overflows is the same configuration error in both
+        default_scenario["initial_state"] = {"x": 1e200, "p": 1e200}
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps(default_scenario))
+        runs = [run_cli(*command, "--scenario", str(scn), "--out", str(tmp_path / command[0]))
+                for command in (["classical"], ["verify", "--suite", "classical"])]
+        assert [proc.returncode for proc in runs] == [2, 2]
+        assert "phase-space point must be finite, with a finite invariant" in runs[0].stderr
+        assert runs[1].stderr == runs[0].stderr
+
+    def test_ellipse_check_reads_the_shipped_trajectory(self, monkeypatch, default_scenario):
+        # a drift in classical.trajectory's invariant column is what the
+        # check sees: it passes unpatched and fails with a 1e-6 drift
+        scn = Scenario.from_dict({**default_scenario, "initial_state": {"x": 0.4, "p": -0.3}})
+
+        def ellipse():
+            result, = [r for r in run_suite(scn, "classical")
+                       if r.check == "moving_ellipse_invariant"]
+            return result
+
+        assert ellipse().status == "pass"
+        trajectory = classical.trajectory
+
+        def drifting(*args):
+            z, z_nh, invariant = trajectory(*args)
+            return z, z_nh, invariant + 1e-6 * np.linspace(0.0, 1.0, len(invariant))
+
+        monkeypatch.setattr(classical, "trajectory", drifting)
+        drifted = ellipse()
+        assert drifted.status == "fail"
+        assert drifted.max_error == pytest.approx(1e-6, rel=1e-3)
 
     def test_coarse_timestep_fails_covariance(self, tmp_path):
         scn = write_scenario(

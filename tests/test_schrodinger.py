@@ -32,7 +32,7 @@ from drivenosc import (
 from drivenosc.canonical import build_frame
 from drivenosc.classical import PhaseState
 from drivenosc.schrodinger import kinetic_expectation
-from drivenosc.verify import _random_modes
+from drivenosc.verify import _eigenmodes, _mix_modes
 
 
 def strang_reference(params, spec, psi0, steps):
@@ -445,7 +445,8 @@ class TestEvolutionCovariance:
         params = OscillatorParams(1.3, 0.8)
         grid = GridSpec.default(params, dt=1e-3)
         t = math.pi
-        psi0, exact = _random_modes(params, grid, np.random.default_rng(47), 5, t)
+        psi0, exact = _mix_modes(params, grid, _eigenmodes(params, grid, 5),
+                                 np.random.default_rng(47), t)
         assert np.array_equal(psi0.values,
                               random_state(params, grid, np.random.default_rng(47), 5).values)
         stepped = evolve_lab(params, ZeroForcing(), psi0, t)
