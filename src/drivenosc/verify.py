@@ -19,7 +19,7 @@ import numpy as np
 from . import canonical, classical, hermite, schrodinger, transitions
 from .classical import OscillatorParams, PhaseState
 from .errors import NumericError
-from .forcing import PulseForcing, SinusoidForcing, ZeroForcing
+from .forcing import PulseForcing, SinusoidForcing
 from .scenario import Scenario
 
 
@@ -74,10 +74,10 @@ class _Context:
         lab = schrodinger.evolve_states(self.params, self.spec, [psi0 for psi0, _ in draws], t)
         return tuple((exact, psi) for (_, exact), psi in zip(draws, lab))
 
-    def fd_step(self, t: float) -> float:
-        """Central-difference step at t: 1e-5 max(1, t), capped at 1% of
-        t_max so that t +- h stays inside the frame on a short window."""
-        return min(1e-5 * max(1.0, t), 0.01 * self.scenario.t_max)
+    def fd_step(self, t):
+        """Central-difference step at t (a float or an ndarray): 1e-5 max(1, t),
+        capped at 1% of t_max so that t +- h stays inside the frame."""
+        return np.minimum(1e-5 * np.maximum(1.0, t), 0.01 * self.scenario.t_max)
 
     def safe_times(self, count: int, seed: int) -> np.ndarray:
         """Random times in the middle 98% of the frame range, away from
@@ -150,7 +150,9 @@ def _rk_reference(params, spec, z0, t):
     for a, b in zip(edges, edges[1:]):
         if b <= a:
             continue
-        sol = solve_ivp(rhs, (a, b), z, method="DOP853", rtol=1e-12, atol=1e-13)
+        # an extreme-scale state overflows in the solver's norms; the check fails on it
+        with np.errstate(all="ignore"):
+            sol = solve_ivp(rhs, (a, b), z, method="DOP853", rtol=1e-12, atol=1e-13)
         z = [float(sol.y[0, -1]), float(sol.y[1, -1])]
     return PhaseState(z[0], z[1])
 
@@ -192,30 +194,29 @@ def check_moving_ellipse_invariant(ctx) -> float:
 
 
 # ---------------------------------------------------------------------------
-# canonical suite
+# canonical suite: the finite-difference checks read the frame as the
+# commands do, one batched read per quantity (t - h and t + h together)
 
 def check_newton_residual(ctx) -> float:
     frame, params, spec = ctx.frame, ctx.params, ctx.spec
-    worst = 0.0
-    for t in ctx.safe_times(60, seed=201):
-        h = ctx.fd_step(t)
-        xdd = (frame.xdot_nh(t + h) - frame.xdot_nh(t - h)) / (2.0 * h)
-        res = params.m * xdd + params.m * params.omega**2 * frame.x_nh(t) - spec.evaluate(t)
-        worst = max(worst, abs(res))
-    return worst
+    t = ctx.safe_times(60, seed=201)
+    h = ctx.fd_step(t)
+    v_lo, v_hi = np.split(frame.xdot_nh(np.concatenate([t - h, t + h])), 2)
+    xdd = (v_hi - v_lo) / (2.0 * h)
+    res = params.m * xdd + params.m * params.omega**2 * frame.x_nh(t) - spec.evaluate(t)
+    return float(np.max(np.abs(res)))
 
 
 def check_gauge_residual(ctx) -> float:
     frame, params, spec = ctx.frame, ctx.params, ctx.spec
-    worst = 0.0
-    for t in ctx.safe_times(60, seed=202):
-        h = ctx.fd_step(t)
-        gdot = (frame.gauge(t + h) - frame.gauge(t - h)) / (2.0 * h)
-        x, xd = frame.x_nh(t), frame.xdot_nh(t)
-        res = gdot - 0.5 * params.m * xd * xd + 0.5 * params.m * params.omega**2 * x * x \
-            - x * spec.evaluate(t)
-        worst = max(worst, abs(res))
-    return worst
+    t = ctx.safe_times(60, seed=202)
+    h = ctx.fd_step(t)
+    g_lo, g_hi = np.split(frame.gauge(np.concatenate([t - h, t + h])), 2)
+    gdot = (g_hi - g_lo) / (2.0 * h)
+    x, xd, _ = frame.values(t)
+    res = gdot - 0.5 * params.m * xd * xd + 0.5 * params.m * params.omega**2 * x * x \
+        - x * spec.evaluate(t)
+    return float(np.max(np.abs(res)))
 
 
 def _transformation_law_error(ctx, params) -> float:
@@ -226,24 +227,21 @@ def _transformation_law_error(ctx, params) -> float:
         frame = canonical.build_frame(params, spec, scn.t_max)
     rng = np.random.default_rng(203)
     m, w = params.m, params.omega
-    worst = 0.0
-    for t in ctx.safe_times(30, seed=204):
-        x = float(rng.uniform(-2, 2))
-        eta = float(rng.uniform(-2, 2))
-        h = ctx.fd_step(t)
-        around = np.array([t - h, t + h])
-        f1_lo, f1_hi = frame.f1(x, 0.0, around)
-        x_lo, x_hi = frame.x_nh(around)
-        # F1(x, eta) = F1(x, 0) + (x - x_nh) eta: differencing F1(x, 0) and
-        # x_nh leaves out the t-independent x eta, whose rounding over 2h
-        # would swamp the check on a short window
-        df1 = (f1_hi - f1_lo - (x_hi - x_lo) * eta) / (2.0 * h)
-        xc, vc, _ = frame.values(t)
-        xi, p = x - xc, eta + m * vc
-        knew = 0.5 * (eta * eta / m + m * w * w * xi * xi)
-        hold = 0.5 * (p * p / m + m * w * w * x * x) - x * spec.evaluate(t)
-        worst = max(worst, abs(knew - (hold + df1)))
-    return worst
+    t = ctx.safe_times(30, seed=204)
+    x, eta = rng.uniform(-2, 2, (t.size, 2)).T
+    h = ctx.fd_step(t)
+    around = np.concatenate([t - h, t + h])
+    f1_lo, f1_hi = np.split(frame.f1(np.tile(x, 2), 0.0, around), 2)
+    x_lo, x_hi = np.split(frame.x_nh(around), 2)
+    # F1(x, eta) = F1(x, 0) + (x - x_nh) eta: differencing F1(x, 0) and
+    # x_nh leaves out the t-independent x eta, whose rounding over 2h
+    # would swamp the check on a short window
+    df1 = (f1_hi - f1_lo - (x_hi - x_lo) * eta) / (2.0 * h)
+    xc, vc, _ = frame.values(t)
+    xi, p = x - xc, eta + m * vc
+    knew = 0.5 * (eta * eta / m + m * w * w * xi * xi)
+    hold = 0.5 * (p * p / m + m * w * w * x * x) - x * spec.evaluate(t)
+    return float(np.max(np.abs(knew - (hold + df1))))
 
 
 def check_transformation_law(ctx) -> float:
@@ -269,18 +267,16 @@ def check_classical_frame_covariance(ctx) -> float:
         z0 = PhaseState(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
         lab = _rk_reference(ctx.params, ctx.spec, z0, t)  # independent of the frame's walk
         lhs = ctx.frame.to_moving(lab, t)
-        rhs = classical.evolve(ctx.params, ctx.frame.to_moving(z0, 0.0), ZeroForcing(), t)
-        worst = max(worst, abs(lhs.x - rhs.x), abs(lhs.p - rhs.p))
+        rhs = classical.propagator(ctx.params, t) @ ctx.frame.to_moving(z0, 0.0).as_array()
+        worst = max(worst, abs(lhs.x - rhs[0]), abs(lhs.p - rhs[1]))
     return worst
 
 
 def check_frame_cache_vs_exact(ctx) -> float:
-    worst = 0.0
-    for t in ctx.safe_times(6, seed=209):
-        cached = ctx.frame.values(t)
-        exact = ctx.frame.exact_values(t)
-        worst = max(worst, max(abs(c - e) for c, e in zip(cached, exact)))
-    return worst
+    t = ctx.safe_times(6, seed=209)
+    cached = np.array(ctx.frame.values(t))
+    exact = np.array([ctx.frame.exact_values(s) for s in t]).T
+    return float(np.max(np.abs(cached - exact)))
 
 
 # ---------------------------------------------------------------------------

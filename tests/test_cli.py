@@ -29,7 +29,7 @@ from drivenosc import (
     propagator,
     quadratic_invariant,
 )
-from drivenosc import classical, cli, schrodinger, transitions
+from drivenosc import canonical, classical, cli, schrodinger, transitions, verify
 from drivenosc.canonical import CanonicalFrame, build_frame
 from drivenosc.cli import main
 from drivenosc.scenario import REPORT_SCHEMA, SCENARIO_SCHEMA, Scenario
@@ -674,6 +674,11 @@ class TestInternalFailure:
             main(["classical", "--scenario", str(scn), "--out", str(tmp_path)])
 
 
+# frame reads per finite-difference check on the default scenario
+_BATCHED_READS = {"frame_newton_residual": 2, "frame_gauge_residual": 2,
+                  "hamiltonian_transformation_law": 6, "frame_cache_vs_exact": 1}
+
+
 class TestVerifyCommand:
     def test_default_scenario_all_pass(self, tmp_path):
         scn = write_scenario(
@@ -715,6 +720,61 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         law = next(c for c in report["checks"] if c["check"] == "hamiltonian_transformation_law")
         assert law["status"] == "pass" and law["tolerance"] == 1e-6
+
+    @staticmethod
+    def run_one_check(monkeypatch, scenario, name):
+        check, = [c for c in verify.CHECKS if c.name == name]
+        monkeypatch.setattr(verify, "CHECKS", (check,))
+        result, = run_suite(Scenario.from_dict(scenario), check.suite)
+        return result
+
+    @pytest.mark.parametrize("name, reads", _BATCHED_READS.items())
+    def test_difference_checks_read_the_frame_once_per_quantity(
+            self, monkeypatch, default_scenario, name, reads):
+        # the batched read the commands ship, not one read per time: the law
+        # reads F1, x_nh and the centre on the scenario and doubled-mass frames
+        calls = []
+        resume = canonical._resume
+
+        def counted(*args):
+            calls.append(args[-1].size)
+            return resume(*args)
+
+        monkeypatch.setattr(canonical, "_resume", counted)
+        assert self.run_one_check(monkeypatch, default_scenario, name).status == "pass"
+        assert len(calls) <= reads, calls
+
+    @pytest.mark.parametrize("name", _BATCHED_READS)
+    def test_a_nan_in_a_frame_read_fails_the_check(self, monkeypatch, default_scenario, name):
+        # NaN at the last time of the first read: a reduction that skips
+        # NaN, as max(worst, nan) does, would report the other times' error
+        calls = []
+        resume = canonical._resume
+
+        def poisoned(*args):
+            x, p, j = resume(*args)
+            if not calls:
+                x, p, j = (np.append(v[:-1], math.nan) for v in (x, p, j))
+            calls.append(args[-1].size)
+            return x, p, j
+
+        monkeypatch.setattr(canonical, "_resume", poisoned)
+        result = self.run_one_check(monkeypatch, default_scenario, name)
+        assert calls[0] > 1
+        assert result.status == "fail" and math.isnan(result.max_error)
+
+    @pytest.mark.parametrize("m", [1e300, 1e-300])
+    def test_extreme_mass_oracle_fails_without_warnings(self, tmp_path, m):
+        # DOP853 overflows in its own error norms at this scale: the check
+        # fails on its result, and no solver warning reaches stderr
+        scn = write_scenario(tmp_path, params={"m": m, "omega": 1.0},
+                             forcing={"type": "sinusoid", "A": 1.0, "Omega": 1.3, "phi": 0.2},
+                             time={"t_max": math.pi, "samples": 5})
+        proc = run_cli("verify", "--suite", "classical", "--scenario", str(scn),
+                       "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert "[FAIL] classical/evolve_vs_runge_kutta" in proc.stdout
 
     def test_grid_solver_runs_only_on_the_driven_side(self, tmp_path, monkeypatch,
                                                       default_scenario):
