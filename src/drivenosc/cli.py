@@ -21,6 +21,7 @@ number of scenarios and of CPUs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,8 +33,7 @@ import numpy as np
 from . import classical, schrodinger, transitions
 from .canonical import build_frame
 from .errors import DomainError, NumericError
-from .scenario import REPORT_VALIDATOR, Scenario, validate
-from .verify import SUITES, run_suite
+from .scenario import REPORT_VALIDATOR, SUITES, Scenario, validate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -178,6 +178,8 @@ def cmd_evolve_pde(scn: Scenario, out_dir: Path) -> list[Path]:
 
 
 def cmd_verify(scn: Scenario, out_dir: Path, suite: str) -> tuple[list[Path], bool]:
+    from .verify import run_suite  # costs import time; only verify runs the checks
+
     results = run_suite(scn, suite)
     report = {
         "suite": suite,
@@ -229,7 +231,10 @@ def _run_one(command: str, scenario_path: str, out_override: str | None,
         return EXIT_NUMERIC, f"{scenario_path}: internal failure: {type(exc).__name__}: {message}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls (each returns a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="drivenosc",
         description="Driven harmonic oscillator: classical runs, transition "

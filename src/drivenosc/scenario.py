@@ -41,10 +41,10 @@ def _check_finite(value, where: str = "scenario") -> None:
 
 
 def _validator(schema: dict):
-    """A validator for ``schema``, checked against its metaschema once."""
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    """A validator for ``schema`` of the draft its ``$schema`` names.  The
+    shipped schemas are checked against their metaschema by the test
+    suite, not at every import."""
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def validate(validator, data) -> None:
@@ -58,6 +58,7 @@ SCENARIO_SCHEMA = _load_schema("scenario.schema.json")
 REPORT_SCHEMA = _load_schema("report.schema.json")
 SCENARIO_VALIDATOR = _validator(SCENARIO_SCHEMA)
 REPORT_VALIDATOR = _validator(REPORT_SCHEMA)
+SUITES = tuple(REPORT_SCHEMA["properties"]["suite"]["enum"])  # what `verify --suite` takes
 
 
 @dataclass(frozen=True)

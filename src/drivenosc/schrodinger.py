@@ -131,7 +131,8 @@ class WaveFunction:
         object.__setattr__(self, "values", vals)
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.values) ** 2)) * self.grid.dx)
+        with np.errstate(over="ignore"):  # an overflow is an infinite norm; callers check it
+            return math.sqrt(float(np.sum(np.abs(self.values) ** 2)) * self.grid.dx)
 
     def normalized(self) -> "WaveFunction":
         n = self.norm()
@@ -142,8 +143,9 @@ class WaveFunction:
     def boundary_mass(self) -> float:
         """Probability mass in the outer 5% of the grid on either side."""
         edge = max(1, int(_BOUNDARY_FRACTION * self.grid.points))
-        density = np.abs(self.values) ** 2 * self.grid.dx
-        return float(np.sum(density[:edge]) + np.sum(density[-edge:]))
+        with np.errstate(over="ignore"):  # an overflow is an infinite mass; callers check it
+            density = np.abs(self.values) ** 2 * self.grid.dx
+            return float(np.sum(density[:edge]) + np.sum(density[-edge:]))
 
 
 def _check_boundary(psi: WaveFunction, context: str) -> None:

@@ -20,7 +20,7 @@ from . import canonical, classical, hermite, schrodinger, transitions
 from .classical import OscillatorParams, PhaseState
 from .errors import NumericError
 from .forcing import PulseForcing, SinusoidForcing
-from .scenario import Scenario
+from .scenario import SUITES, Scenario
 
 
 @dataclass(frozen=True)
@@ -522,8 +522,6 @@ CHECKS: tuple[Check, ...] = (
     Check("evolution_covariance_lab", "quantum", 1e-4, check_evolution_covariance_lab),
     Check("frame_map_roundtrip", "quantum", 1e-10, check_frame_map_roundtrip),
 )
-
-SUITES = ("classical", "canonical", "quantum", "all")
 
 
 def run_suite(scenario: Scenario, suite: str = "all") -> list[CheckResult]:

@@ -139,8 +139,12 @@ class TestScenario:
             Scenario.from_dict(data)
 
     def test_schema_file_is_valid_jsonschema(self):
-        jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
-        jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+        # the only metaschema check: importing drivenosc does not repeat it,
+        # so check with the validator class the program itself builds
+        for schema in (SCENARIO_SCHEMA, REPORT_SCHEMA):
+            cls = jsonschema.validators.validator_for(schema)
+            assert cls.META_SCHEMA["$id"].rstrip("#") == schema["$schema"].rstrip("#")
+            cls.check_schema(schema)
 
 
 class TestClassicalCommand:
@@ -776,6 +780,18 @@ class TestVerifyCommand:
         assert proc.stderr == ""
         assert "[FAIL] classical/evolve_vs_runge_kutta" in proc.stdout
 
+    def test_extreme_mass_grid_overflow_is_one_line(self, tmp_path):
+        # at m = 1e300 the lab-frame state is not finite: the run exits 3
+        # with its one-line message, and no numpy overflow warning besides
+        scn = write_scenario(tmp_path, params={"m": 1e300, "omega": 1.0},
+                             forcing={"type": "sinusoid", "A": 1.0, "Omega": 1.3, "phi": 0.2},
+                             time={"t_max": math.pi, "samples": 5})
+        proc = run_cli("verify", "--suite", "all", "--scenario", str(scn),
+                       "--out", str(tmp_path))
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            f"{scn}: numerical failure: moving_to_lab: the state is not finite"]
+
     def test_grid_solver_runs_only_on_the_driven_side(self, tmp_path, monkeypatch,
                                                       default_scenario):
         # the unforced side of both covariance checks is the exact
@@ -923,19 +939,26 @@ def scipy_modules():
 scenario, out, report = sys.argv[1:]
 seen = {}
 import drivenosc
-seen["import drivenosc"] = [0, scipy_modules()]
+seen["import drivenosc"] = [0, scipy_modules(), "drivenosc.verify" in sys.modules]
 import drivenosc.cli
-seen["import drivenosc.cli"] = [0, scipy_modules()]
+seen["import drivenosc.cli"] = [0, scipy_modules(), "drivenosc.verify" in sys.modules]
 for command in ("classical", "transitions", "survival", "evolve-pde", "verify"):
     code = drivenosc.cli.main([command, "--scenario", scenario, "--out", out])
-    seen[command] = [code, scipy_modules()]
+    seen[command] = [code, scipy_modules(), "drivenosc.verify" in sys.modules]
 with open(report, "w") as fh:
     json.dump(seen, fh)
 """
 
+_COLD_STEPS = ("import drivenosc", "import drivenosc.cli",
+               "classical", "transitions", "survival", "evolve-pde")
+
 
 class TestColdStart:
-    def test_scipy_loads_only_where_an_oracle_runs(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def seen(self, tmp_path_factory):
+        """[exit code, scipy modules loaded, drivenosc.verify loaded] after
+        each step of one fresh interpreter, the five commands in turn."""
+        tmp_path = tmp_path_factory.mktemp("cold")
         scn = write_scenario(
             tmp_path,
             forcing={"type": "sinusoid", "A": 1.0, "Omega": 2.0, "phi": 0.0},
@@ -944,14 +967,56 @@ class TestColdStart:
         report = tmp_path / "seen.json"
         proc = run_python("-c", _SCIPY_PROBE, str(scn), str(tmp_path / "out"), str(report))
         assert proc.returncode == 0, proc.stderr
-        seen = json.loads(report.read_text())
-        for step in ("import drivenosc", "import drivenosc.cli",
-                     "classical", "transitions", "survival", "evolve-pde"):
-            assert seen[step] == [0, []], step
+        return json.loads(report.read_text())
+
+    def test_scipy_loads_only_where_an_oracle_runs(self, seen):
+        for step in _COLD_STEPS:
+            assert seen[step][:2] == [0, []], step
         # verify still runs both scipy oracles: DOP853 and the Golub-Welsch rule
-        code, loaded = seen["verify"]
+        code, loaded, _ = seen["verify"]
         assert code == 0
         assert {"scipy.integrate", "scipy.linalg"} <= set(loaded)
+
+    def test_verify_module_loads_only_for_verify(self, seen):
+        for step in _COLD_STEPS:
+            assert seen[step][2] is False, step
+        assert seen["verify"][2] is True
+
+
+class TestParser:
+    """One parser serves every main call of a process."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_append_state_carries_over(self, tmp_path):
+        one = write_scenario(tmp_path, name="one.json")
+        two = write_scenario(tmp_path, name="two.json", forcing={"type": "zero"})
+        out = tmp_path / "out"
+        assert main(["survival", "--scenario", str(one), "--scenario", str(two),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["one", "two"]
+        # a single --scenario writes to the output directory itself
+        assert main(["survival", "--scenario", str(two), "--out", str(out)]) == 0
+        assert (out / "survival.csv").exists()
+        assert not (out / "two" / "two").exists()
+
+    def test_bad_suite_exits_2_on_every_call(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path)
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--suite", "everything", "--scenario", str(scn),
+                      "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert "invalid choice: 'everything'" in capsys.readouterr().err
+
+    def test_suite_choices_are_the_report_schema_enum(self):
+        sub, = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        suite, = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+        enum = REPORT_SCHEMA["properties"]["suite"]["enum"]
+        assert list(suite.choices) == enum
+        assert list(verify.SUITES) == enum
+        assert suite.default in enum
 
 
 class TestDeterminismAndJobs:
