@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import io
 import json
 import math
@@ -634,6 +635,33 @@ class TestNonFiniteScenario:
         assert not (tmp_path / "evolution.csv").exists()
 
 
+_GRID = {"x_min": -10.0, "x_max": 10.0, "points": 512, "dt": 1e-3}
+
+
+class TestIntegralFloats:
+    """The schema's integers admit integral floats such as 11.0 (JSON
+    Schema 2020-12); a scenario spelling them so runs as its int spelling."""
+
+    @pytest.mark.parametrize("command, block, ints", [
+        *[(c, "time", {"t_max": 1.0, "samples": 11})
+          for c in ("classical", "transitions", "survival", "evolve-pde")],
+        ("transitions", "quantum", {"n_initial": 1, "m_max": 5}),
+        *[(c, "grid", _GRID)
+          for c in ("classical", "transitions", "survival", "evolve-pde", "verify")],
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_same_bytes_as_the_int_scenario(self, tmp_path, command, block, ints):
+        written = []
+        for spelling in (ints, {k: float(v) for k, v in ints.items()}):
+            name = "float" if written else "int"
+            scn = write_scenario(
+                tmp_path, name=f"{name}.json",
+                forcing={"type": "sinusoid", "A": 1.0, "Omega": 1.3, "phi": 0.2},
+                **{"time": {"t_max": 1.0, "samples": 9}, block: spelling})
+            assert main([command, "--scenario", str(scn), "--out", str(tmp_path / name)]) == 0
+            written.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert written[0] and written[0] == written[1]
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_output_path_that_is_a_file_is_a_config_error(self, tmp_path, capsys, jobs):
@@ -916,6 +944,23 @@ class TestVerifyCommand:
             if code == 2:
                 assert "omega > 0" in proc.stderr, suite
 
+    def test_malformed_report_is_an_internal_failure(self, tmp_path, capsys, monkeypatch):
+        # a report that breaks report.schema.json is the program's fault, so it
+        # exits 3 like any internal failure, never 2 like a bad scenario
+        run_suite = verify.run_suite
+
+        def non_number_error(scn, suite):
+            first, *rest = run_suite(scn, suite)
+            return [dataclasses.replace(first, max_error=None), *rest]
+
+        monkeypatch.setattr(verify, "run_suite", non_number_error)
+        scn = write_scenario(tmp_path)
+        assert main(["verify", "--suite", "classical", "--scenario", str(scn),
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "internal failure: ValueError: report.checks[0].max_error: None" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"params": {"m": -1.0, "omega": 1.0}}))
@@ -936,15 +981,18 @@ import json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+def loaded():
+    return [scipy_modules(), "drivenosc.verify" in sys.modules, "jsonschema" in sys.modules]
+
 scenario, out, report = sys.argv[1:]
 seen = {}
 import drivenosc
-seen["import drivenosc"] = [0, scipy_modules(), "drivenosc.verify" in sys.modules]
+seen["import drivenosc"] = [0, *loaded()]
 import drivenosc.cli
-seen["import drivenosc.cli"] = [0, scipy_modules(), "drivenosc.verify" in sys.modules]
+seen["import drivenosc.cli"] = [0, *loaded()]
 for command in ("classical", "transitions", "survival", "evolve-pde", "verify"):
     code = drivenosc.cli.main([command, "--scenario", scenario, "--out", out])
-    seen[command] = [code, scipy_modules(), "drivenosc.verify" in sys.modules]
+    seen[command] = [code, *loaded()]
 with open(report, "w") as fh:
     json.dump(seen, fh)
 """
@@ -956,8 +1004,9 @@ _COLD_STEPS = ("import drivenosc", "import drivenosc.cli",
 class TestColdStart:
     @pytest.fixture(scope="class")
     def seen(self, tmp_path_factory):
-        """[exit code, scipy modules loaded, drivenosc.verify loaded] after
-        each step of one fresh interpreter, the five commands in turn."""
+        """[exit code, scipy modules loaded, drivenosc.verify loaded,
+        jsonschema loaded] after each step of one fresh interpreter, the
+        five commands in turn."""
         tmp_path = tmp_path_factory.mktemp("cold")
         scn = write_scenario(
             tmp_path,
@@ -973,7 +1022,7 @@ class TestColdStart:
         for step in _COLD_STEPS:
             assert seen[step][:2] == [0, []], step
         # verify still runs both scipy oracles: DOP853 and the Golub-Welsch rule
-        code, loaded, _ = seen["verify"]
+        code, loaded, *_ = seen["verify"]
         assert code == 0
         assert {"scipy.integrate", "scipy.linalg"} <= set(loaded)
 
@@ -981,6 +1030,11 @@ class TestColdStart:
         for step in _COLD_STEPS:
             assert seen[step][2] is False, step
         assert seen["verify"][2] is True
+
+    def test_no_command_loads_jsonschema(self, seen):
+        # the scenario and the report are checked by scenario.validate
+        for step in (*_COLD_STEPS, "verify"):
+            assert seen[step][3] is False, step
 
 
 class TestParser:
