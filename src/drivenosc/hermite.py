@@ -131,7 +131,8 @@ def gauss_hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
         number of nodes, 1 <= order <= 200 (beyond that the symmetric
         tridiagonal eigenproblem is no longer reliably accurate)
 
-    Golub-Welsch nodes; weights e^{-x^2} / (order psi_{order-1}(x)^2), which
+    Golub-Welsch nodes, the eigenvalues of the Jacobi matrix from numpy's
+    dense symmetric solver; weights e^{-x^2} / (order psi_{order-1}(x)^2), which
     unlike squared eigenvector components keep their relative accuracy in
     the far tails.  Against 40-digit mpmath at orders 40-200 the nodes lie
     within 7e-14 absolute (4e-15 relative) and the weights within 5e-12
@@ -149,10 +150,9 @@ def gauss_hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=_MAX_RULE_ORDER)
 def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    from scipy.linalg import eigh_tridiagonal  # loaded only where the oracle runs
-
-    nodes = eigh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1, order) / 2.0),
-                             eigvals_only=True)
+    """The rule of `gauss_hermite_rule`: nodes from the dense Jacobi matrix
+    of the Hermite recurrence (zero diagonal, subdiagonal sqrt(j / 2))."""
+    nodes = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1, order) / 2.0), -1))
     weights = np.exp(-nodes * nodes) / (order * eigenstate(_UNIT, order - 1, nodes) ** 2)
     # polish the exact symmetry of the rule
     rule = 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])

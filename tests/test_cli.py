@@ -23,6 +23,7 @@ from drivenosc import (
     NumericError,
     OscillatorParams,
     PhaseState,
+    PulseForcing,
     SinusoidForcing,
     TabulatedForcing,
     probability_column,
@@ -797,8 +798,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("m", [1e300, 1e-300])
     def test_extreme_mass_oracle_fails_without_warnings(self, tmp_path, m):
-        # DOP853 overflows in its own error norms at this scale: the check
-        # fails on its result, and no solver warning reaches stderr
+        # the oracle agrees with evolve to rounding, but errors of ~1e285
+        # meet the check's absolute 1e-8 tolerance: the check fails, and
+        # no overflow warning reaches stderr
         scn = write_scenario(tmp_path, params={"m": m, "omega": 1.0},
                              forcing={"type": "sinusoid", "A": 1.0, "Omega": 1.3, "phi": 0.2},
                              time={"t_max": math.pi, "samples": 5})
@@ -1001,6 +1003,51 @@ _COLD_STEPS = ("import drivenosc", "import drivenosc.cli",
                "classical", "transitions", "survival", "evolve-pde")
 
 
+class TestRungeKuttaOracle:
+    """verify's RK4 oracle against the response walk of classical.evolve,
+    per component, relative to the component's own size."""
+
+    SINUSOID = SinusoidForcing(1.0, 1.3, 0.2)
+
+    @staticmethod
+    def relative_gap(params, spec, z0, t):
+        got = classical.evolve(params, z0, spec, t)
+        ref = verify._rk_reference(params, spec, z0, t)
+        return max(abs(ref.x - got.x) / abs(got.x), abs(ref.p - got.p) / abs(got.p))
+
+    def test_light_mass_from_a_moving_start(self):
+        # x reaches ~4e299, near the top of the float range
+        params = OscillatorParams(1e-300, 1.0)
+        assert self.relative_gap(params, self.SINUSOID, PhaseState(0.6, -0.4), math.pi) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1e160, 1e-160, 1e300, 1e-300])
+    def test_extreme_mass_from_rest(self, m):
+        params = OscillatorParams(m, 1.0)
+        assert self.relative_gap(params, self.SINUSOID, PhaseState(0.0, 0.0), 2.0) <= 1e-12
+
+    def test_piece_ending_at_a_pulse_edge(self):
+        # t = t_off: k(t_off) is 0, so only a one-sided read of the last
+        # piece's end sees the pulse (a two-sided read is off by ~7e-4)
+        spec = PulseForcing(1.0, 0.7003, 2.2007)
+        params = OscillatorParams(1.3, 0.8)
+        assert self.relative_gap(params, spec, PhaseState(0.6, -0.4), spec.t_off) <= 1e-12
+
+    def test_one_force_read_per_pass(self, monkeypatch):
+        # a piece runs at h and at h/2, each pass one array read of k
+        calls = []
+        evaluate = PulseForcing.evaluate
+
+        def counted(self, t):
+            calls.append(np.size(t))
+            return evaluate(self, t)
+
+        monkeypatch.setattr(PulseForcing, "evaluate", counted)
+        spec = PulseForcing(1.0, 0.7003, 2.2007)
+        verify._rk_reference(OscillatorParams(1.3, 0.8), spec, PhaseState(0.6, -0.4), 3.0)
+        assert len(calls) == 6  # three pieces, two passes each
+        assert all(n > 1 for n in calls)
+
+
 class TestColdStart:
     @pytest.fixture(scope="class")
     def seen(self, tmp_path_factory):
@@ -1018,13 +1065,10 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         return json.loads(report.read_text())
 
-    def test_scipy_loads_only_where_an_oracle_runs(self, seen):
-        for step in _COLD_STEPS:
+    def test_no_command_loads_scipy(self, seen):
+        # verify's Runge-Kutta oracle and Gauss-Hermite rule are numpy code
+        for step in (*_COLD_STEPS, "verify"):
             assert seen[step][:2] == [0, []], step
-        # verify still runs both scipy oracles: DOP853 and the Golub-Welsch rule
-        code, loaded, *_ = seen["verify"]
-        assert code == 0
-        assert {"scipy.integrate", "scipy.linalg"} <= set(loaded)
 
     def test_verify_module_loads_only_for_verify(self, seen):
         for step in _COLD_STEPS:
