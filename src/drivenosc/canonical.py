@@ -35,8 +35,10 @@ which follows from the equation of motion (derived in NOTES.md).  The
 walk itself lives in :mod:`drivenosc.classical`; this module keeps the
 frame reads, the generating function and the point maps.
 ``exact_values`` is the independent oracle: adaptive quadrature for z_nh
-and one pass of fixed panels for G, the response carried from node to
-node.
+and fixed panels for G, the response carried from node to node.  It too
+reads an array of times in one pass, in ascending order, each read
+resuming from the one before, so a batch costs about one read at its
+largest time.
 
 Frames are immutable once built and safe to evaluate concurrently.
 """
@@ -115,33 +117,43 @@ class CanonicalFrame:
         ndarray of times."""
         return self._read(t)
 
-    def exact_values(self, t: float) -> tuple[float, float, float]:
+    def exact_values(self, t):
         """(x_nh, xdot_nh, G) by adaptive quadrature, independent of the walk.
 
-        One pass: the action integrand carries z_nh from one quadrature node
-        to the next, z(s) = U(s - s') z(s') + _duhamel(s', s), so each kink
-        of k is integrated over once (a node out of order restarts from 0).
+        t is a float, read as a batch of one, or a 1-D ndarray of times,
+        read in one pass that returns three arrays.  The pass visits the
+        times in ascending order and carries the values from each read time
+        s0 to the next t: z <- U(t - s0) z + _duhamel(s0, t), and G gains
+        the action over [s0, t].  The action integrand carries z_nh from one
+        quadrature node to the next in the same way, across reads, so each
+        stretch of time and each kink of k is integrated over once.
         """
-        t = float(self._clamp(np.array([t], dtype=float))[0])
+        if type(t) is not np.ndarray:
+            return tuple(float(v[0]) for v in self.exact_values(np.array([t], dtype=float)))
+        ts = self._clamp(t.astype(float, copy=False))
         params, spec = self.params, self.spec
-        z = _duhamel(params, spec, 0.0, t, 1e-12)
+        panel_len = _panel_len(params, spec)
         s_prev, z_prev = 0.0, np.zeros(2)  # last node s' and z_nh(s')
 
         def integrand(s):
             nonlocal s_prev, z_prev
-            if s < s_prev:
-                s_prev, z_prev = 0.0, np.zeros(2)
             z_prev = (propagator(params, s - s_prev) @ z_prev
                       + _duhamel(params, spec, s_prev, s, 1e-13))
             s_prev = s
             return np.array([_lagrangian(params, spec, z_prev[0], z_prev[1] / params.m, s)])
 
-        g = fixed_gauss_kronrod(
-            integrand, 0.0, t,
-            breakpoints=spec.breakpoints(0.0, t),
-            panel_len=_panel_len(params, spec),
-        )
-        return float(z[0]), float(z[1] / params.m), float(g[0])
+        out = np.zeros((3, ts.size))
+        s0, z, g = 0.0, np.zeros(2), 0.0  # last read time and its values
+        for i in np.argsort(ts, kind="stable").tolist():
+            t_i = float(ts[i])
+            if t_i > s0:
+                z = propagator(params, t_i - s0) @ z + _duhamel(params, spec, s0, t_i, 1e-12)
+                g = g + float(fixed_gauss_kronrod(
+                    integrand, s0, t_i, breakpoints=spec.breakpoints(s0, t_i),
+                    panel_len=panel_len)[0])
+                s0 = t_i
+            out[:, i] = z[0], z[1] / params.m, g
+        return out[0], out[1], out[2]
 
     # -- generating function -----------------------------------------------
 

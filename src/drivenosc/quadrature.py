@@ -2,7 +2,8 @@
 
 Two routines, both deterministic, for vector-valued integrands.  Both
 serve only ``CanonicalFrame.exact_values``, the quadrature oracle for the
-response walk in :mod:`drivenosc.classical`:
+response walk in :mod:`drivenosc.classical`, which calls each once per
+stretch between consecutive read times of its batch:
 
 * ``adaptive_gauss_kronrod`` -- a global worst-interval-first refinement of
   the 7/15 Gauss-Kronrod pair.  Used for the inhomogeneous-response

@@ -289,7 +289,7 @@ def check_classical_frame_covariance(ctx) -> float:
 def check_frame_cache_vs_exact(ctx) -> float:
     t = ctx.safe_times(6, seed=209)
     cached = np.array(ctx.frame.values(t))
-    exact = np.array([ctx.frame.exact_values(s) for s in t]).T
+    exact = np.array(ctx.frame.exact_values(t))
     return float(np.max(np.abs(cached - exact)))
 
 
@@ -391,14 +391,17 @@ def check_ground_row_poisson(ctx) -> float:
 
 
 def check_amplitude_symmetry(ctx) -> float:
+    """|A(n, m)| against |A(m, n)| at 150 random (n, m, d), read from one
+    column block per n over every drawn lambda."""
     rng = np.random.default_rng(306)
-    worst = 0.0
-    for _ in range(150):
-        n, m = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-        d = transitions.DisplacementParams(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-        worst = max(worst, abs(abs(transitions.overlap_amplitude(n, m, d))
-                               - abs(transitions.overlap_amplitude(m, n, d))))
-    return worst
+    ns, ms, lams = np.zeros(150, dtype=int), np.zeros(150, dtype=int), np.zeros(150)
+    for i in range(150):
+        ns[i], ms[i] = rng.integers(0, 12), rng.integers(0, 12)
+        lams[i] = transitions.DisplacementParams(float(rng.uniform(-3, 3)),
+                                                 float(rng.uniform(-3, 3))).poisson_mean()
+    log_mag = np.array([transitions._laguerre_column(n, lams, 12)[1] for n in range(12)])
+    draw = np.arange(150)
+    return float(np.max(np.abs(np.exp(log_mag[ns, draw, ms]) - np.exp(log_mag[ms, draw, ns]))))
 
 
 def _random_state(params, grid, modes, rng):

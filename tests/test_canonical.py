@@ -22,6 +22,15 @@ from drivenosc.classical import _panel_len
 from drivenosc.scenario import Scenario
 
 
+# a smooth drive, one with jumps and a table with kinks, each on its frame
+DRIVES = pytest.mark.parametrize("params, spec, t_max", [
+    (OscillatorParams(1.0, 1.0), SinusoidForcing(0.8, 1.7, 0.5), 3.0),
+    (OscillatorParams(1.1, 0.9), PulseForcing(K=1.0, t_on=2.0, t_off=17.3), 10 * math.pi),
+    (OscillatorParams(2.0, 1.3),
+     TabulatedForcing(tuple((0.3 * i - 0.6, math.sin(1.7 * i)) for i in range(16))), 4.0),
+], ids=["sinusoid", "pulse", "table"])
+
+
 def fd_step(t):
     return 1e-5 * max(1.0, t)
 
@@ -117,12 +126,7 @@ class TestFrameData:
             with pytest.raises(DomainError):
                 const_frame_pi.values(np.array([0.0, 1.0, bad, 2.0]))
 
-    @pytest.mark.parametrize("params, spec, t_max", [
-        (OscillatorParams(1.0, 1.0), SinusoidForcing(0.8, 1.7, 0.5), 3.0),
-        (OscillatorParams(1.1, 0.9), PulseForcing(K=1.0, t_on=2.0, t_off=17.3), 10 * math.pi),
-        (OscillatorParams(2.0, 1.3),
-         TabulatedForcing(tuple((0.3 * i - 0.6, math.sin(1.7 * i)) for i in range(16))), 4.0),
-    ], ids=["sinusoid", "pulse", "table"])
+    @DRIVES
     def test_batched_read_matches_single_reads(self, params, spec, t_max):
         # one pass over many times against one read per time, panel edges,
         # kinks and both ends included, and against the oracle
@@ -146,6 +150,61 @@ class TestFrameData:
     def test_bad_build_arguments(self, params11):
         with pytest.raises(DomainError):
             build_frame(params11, ZeroForcing(), 0.0)
+
+
+class TestExactValues:
+    """The quadrature oracle reads a batch of times in one ascending pass."""
+
+    @pytest.mark.parametrize("t", [0.0, 1.3, 2.0, 7.7, 10 * math.pi])
+    def test_float_read_is_a_batch_of_one(self, t):
+        fr = build_frame(OscillatorParams(1.1, 0.9), PulseForcing(K=1.0, t_on=2.0, t_off=17.3),
+                         10 * math.pi)
+        single = fr.exact_values(t)
+        batch = fr.exact_values(np.array([t]))
+        assert type(single) is tuple and all(type(v) is float for v in single)
+        assert single == tuple(float(v[0]) for v in batch)
+
+    @DRIVES
+    def test_batch_matches_reads_one_time_each(self, params, spec, t_max):
+        # unsorted, repeated, both ends, every kink and the float just below
+        fr = build_frame(params, spec, t_max)
+        kinks = np.array(spec.breakpoints(0.0, t_max))
+        ts = np.concatenate([[t_max, 0.3 * t_max, 0.0], kinks, np.nextafter(kinks, 0.0),
+                             [0.3 * t_max, t_max, 0.0, 0.7 * t_max]])
+        ts = np.random.default_rng(18).permutation(ts)
+        batched = np.array(fr.exact_values(ts))
+        single = np.array([fr.exact_values(float(t)) for t in ts]).T
+        assert batched.shape == (3, len(ts))
+        np.testing.assert_allclose(batched, single, rtol=1e-13, atol=1e-13)
+
+    def test_batch_of_no_times_is_empty(self, const_frame_pi):
+        out = const_frame_pi.exact_values(np.array([]))
+        assert len(out) == 3 and all(a.shape == (0,) for a in out)
+
+    def test_out_of_range_rejected(self, const_frame_pi):
+        for bad in (-0.5, math.pi + 0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                const_frame_pi.exact_values(bad)
+            with pytest.raises(DomainError):
+                const_frame_pi.exact_values(np.array([0.0, 1.0, bad, 2.0]))
+
+    def test_batch_evaluates_the_drive_about_once(self, monkeypatch, default_scenario):
+        # six reads in one pass cost one read at the largest of them, plus at
+        # most one split panel per further time (1.07x here); one read per
+        # time integrates [0, t] again for each (3.6x)
+        scn = Scenario.from_dict(default_scenario)
+        panels = math.ceil(scn.t_max / _panel_len(scn.params, scn.forcing))
+        fr = build_frame(scn.params, scn.forcing, scn.t_max)
+        ts = np.array([0.9, 2.6, 0.2, 3.0, 1.7, 2.2]) * scn.t_max / 3.0
+        evaluated = []
+        evaluate = SinusoidForcing.evaluate
+        monkeypatch.setattr(SinusoidForcing, "evaluate",
+                            lambda self, t: evaluated.append(np.size(t)) or evaluate(self, t))
+        fr.exact_values(float(ts.max()))
+        one_read = sum(evaluated)
+        evaluated.clear()
+        fr.exact_values(ts)
+        assert 0 < sum(evaluated) <= (1.0 + (ts.size - 1) / panels) * one_read
 
 
 class TestResiduals:

@@ -18,7 +18,7 @@ from drivenosc import (
     probability_column,
     probability_row,
 )
-from drivenosc import transitions
+from drivenosc import transitions, verify
 from drivenosc.canonical import build_frame
 from drivenosc.transitions import _laguerre_column, _valid_row, _valid_rows
 
@@ -100,6 +100,34 @@ class TestOverlapAmplitude:
             n, m = int(rng.integers(0, 12)), int(rng.integers(0, 12))
             d = DisplacementParams(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
             assert abs(abs(overlap_amplitude(n, m, d)) - abs(overlap_amplitude(m, n, d))) < 1e-12
+
+    def test_block_log_magnitude_equals_the_pair_form(self):
+        # one column block per n over many lambdas holds, bit for bit, the
+        # entry overlap_amplitude reads for each pair, m < n and m > n alike,
+        # and the exact delta_nm of the still branch at lambda = 0
+        rng = np.random.default_rng(33)
+        ds = [DisplacementParams(0.0, 0.0)] + [DisplacementParams(a, b) for a, b in
+                                               rng.uniform(-3, 3, (40, 2)).tolist()]
+        lams = np.array([d.poisson_mean() for d in ds])
+        for n in range(12):
+            _, block = _laguerre_column(n, lams, 12)
+            for m in range(12):
+                pairs = np.array([_laguerre_column(n, lam, m + 1)[1][m] for lam in lams.tolist()])
+                assert np.array_equal(block[:, m], pairs)
+                magnitudes = [abs(overlap_amplitude(n, m, d)) for d in ds]
+                np.testing.assert_allclose(np.exp(block[:, m]), magnitudes, rtol=1e-15, atol=0)
+
+    def test_symmetry_check_matches_the_pair_form(self):
+        # verify's amplitude_symmetry on its column blocks against the same
+        # draws checked one overlap_amplitude pair at a time
+        rng = np.random.default_rng(306)
+        worst = 0.0
+        for _ in range(150):
+            n, m = int(rng.integers(0, 12)), int(rng.integers(0, 12))
+            d = DisplacementParams(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
+            worst = max(worst, abs(abs(overlap_amplitude(n, m, d))
+                                   - abs(overlap_amplitude(m, n, d))))
+        assert verify.check_amplitude_symmetry(None) == worst
 
     def test_log_space_path_continuous_at_threshold(self):
         # n + m = 30 runs the direct path, 31 the log-space path; compare
