@@ -81,6 +81,8 @@ class CanonicalFrame:
         self._states = (xs, ps, js)
 
     def _clamp(self, ts: np.ndarray) -> np.ndarray:
+        if ts.ndim != 1:
+            raise DomainError(f"times must be a float or a 1-D array, got shape {ts.shape}")
         slack = 1e-12 * max(1.0, self.t_max)
         bad = ~(np.isfinite(ts) & (ts >= -slack) & (ts <= self.t_max + slack))
         if bad.any():
@@ -91,7 +93,8 @@ class CanonicalFrame:
         """(x_nh, xdot_nh, G) at t, resumed from the edge at or before t.
 
         t is a float, read as a one-element array, or a 1-D ndarray of
-        times, read in one pass that returns three arrays."""
+        times, read in one pass that returns three arrays; any other
+        ndarray is a DomainError."""
         if type(t) is not np.ndarray:
             return tuple(float(v[0]) for v in self._read(np.array([t], dtype=float)))
         ts = self._clamp(t.astype(float, copy=False))

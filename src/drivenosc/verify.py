@@ -2,8 +2,10 @@
 
 Every check exercises one contract of the library (a conservation law, an
 exact identity, or agreement between a closed form and an independent
-numerical route) on the configured scenario and reports its worst
-observed error against a fixed tolerance.  All randomness is seeded, so a
+numerical route) on the configured scenario and returns every error it
+observed as an ndarray.  ``run_suite`` alone reduces them: ``max_error``
+is their ``np.max``, so a NaN anywhere fails the check, and it is held
+against the check's fixed tolerance.  All randomness is seeded, so a
 report is bit-stable for a given scenario.
 """
 
@@ -102,39 +104,29 @@ class _Context:
 # ---------------------------------------------------------------------------
 # classical suite
 
-def _sweep_params():
-    return [OscillatorParams(m, w)
+def _sweep(seed: int, shape) -> list:
+    """The six (m, w) of the classical sweep, each with its seeded draw of
+    times in [-8, 8) of the given shape."""
+    rng = np.random.default_rng(seed)
+    return [(OscillatorParams(m, w), rng.uniform(-8.0, 8.0, shape))
             for m in (1.0, 2.5) for w in (0.5, 1.0, 2.0 * math.pi)]
 
 
-def check_propagator_group_law(ctx) -> float:
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for params in _sweep_params():
-        t, s = rng.uniform(-8.0, 8.0, (170, 2)).T
-        err = classical.propagator(params, t + s) \
-            - classical.propagator(params, t) @ classical.propagator(params, s)
-        worst = max(worst, float(np.max(np.abs(err))))
-    return worst
+def check_propagator_group_law(ctx) -> np.ndarray:
+    u = classical.propagator
+    draws = [(params, *ts.T) for params, ts in _sweep(101, (170, 2))]
+    return np.abs([u(params, t + s) - u(params, t) @ u(params, s) for params, t, s in draws])
 
 
-def check_propagator_determinant(ctx) -> float:
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for params in _sweep_params():
-        u = classical.propagator(params, rng.uniform(-8.0, 8.0, 100))
-        worst = max(worst, float(np.max(np.abs(np.linalg.det(u) - 1.0))))
-    return worst
+def check_propagator_determinant(ctx) -> np.ndarray:
+    return np.abs([np.linalg.det(classical.propagator(params, t)) - 1.0
+                   for params, t in _sweep(102, 100)])
 
 
-def check_form_conjugation(ctx) -> float:
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for params in _sweep_params():
-        form = classical.quadratic_form_matrix(params)
-        u = classical.propagator(params, rng.uniform(-8.0, 8.0, 100))
-        worst = max(worst, float(np.max(np.abs(np.swapaxes(u, -1, -2) @ form @ u - form))))
-    return worst
+def check_form_conjugation(ctx) -> np.ndarray:
+    pairs = [(classical.quadratic_form_matrix(params), classical.propagator(params, t))
+             for params, t in _sweep(103, 100)]
+    return np.abs([np.swapaxes(u, -1, -2) @ form @ u - form for form, u in pairs])
 
 
 def _rk_reference(params, spec, z0, t):
@@ -171,9 +163,8 @@ def _rk4(params, spec, x, p, a, b, steps):
     return x, p
 
 
-def check_evolve_vs_rk(ctx) -> float:
+def check_evolve_vs_rk(ctx) -> np.ndarray:
     rng = np.random.default_rng(104)
-    worst = 0.0
     cases = [(ctx.params, ctx.spec)]
     for _ in range(7):
         params = OscillatorParams(float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.3, 3.0)))
@@ -184,16 +175,13 @@ def check_evolve_vs_rk(ctx) -> float:
             t_on = float(rng.uniform(0.1, 1.5))
             spec = PulseForcing(float(rng.uniform(-2, 2)), t_on, t_on + float(rng.uniform(0.2, 2.0)))
         cases.append((params, spec))
-    for params, spec in cases:
-        z0 = PhaseState(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-        t = float(rng.uniform(0.5, 5.0))
-        got = classical.evolve(params, z0, spec, t)
-        ref = _rk_reference(params, spec, z0, t)
-        worst = max(worst, abs(got.x - ref.x), abs(got.p - ref.p))
-    return worst
+    runs = [(params, spec, PhaseState(*rng.uniform(-1, 1, 2).tolist()),
+             float(rng.uniform(0.5, 5.0))) for params, spec in cases]
+    return np.abs([classical.evolve(params, z0, spec, t).as_array()
+                   - _rk_reference(params, spec, z0, t).as_array() for params, spec, z0, t in runs])
 
 
-def check_moving_ellipse_invariant(ctx) -> float:
+def check_moving_ellipse_invariant(ctx) -> np.ndarray:
     """The energy of z - z_nh along the trajectory `classical` ships, from
     the scenario start, against its value at t = 0."""
     scn = ctx.scenario
@@ -204,36 +192,34 @@ def check_moving_ellipse_invariant(ctx) -> float:
     x_nh, xdot_nh, _ = ctx.frame.values(times)
     _, _, invariant = classical.trajectory(ctx.params, z0, times, x_nh, xdot_nh)
     ref = classical.quadratic_invariant(ctx.params, z0)
-    return float(np.max(np.abs(invariant - ref))) / max(1.0, abs(ref))
+    return np.abs(invariant - ref) / max(1.0, abs(ref))
 
 
 # ---------------------------------------------------------------------------
 # canonical suite: the finite-difference checks read the frame as the
 # commands do, one batched read per quantity (t - h and t + h together)
 
-def check_newton_residual(ctx) -> float:
+def check_newton_residual(ctx) -> np.ndarray:
     frame, params, spec = ctx.frame, ctx.params, ctx.spec
     t = ctx.safe_times(60, seed=201)
     h = ctx.fd_step(t)
     v_lo, v_hi = np.split(frame.xdot_nh(np.concatenate([t - h, t + h])), 2)
     xdd = (v_hi - v_lo) / (2.0 * h)
-    res = params.m * xdd + params.m * params.omega**2 * frame.x_nh(t) - spec.evaluate(t)
-    return float(np.max(np.abs(res)))
+    return np.abs(params.m * xdd + params.m * params.omega**2 * frame.x_nh(t) - spec.evaluate(t))
 
 
-def check_gauge_residual(ctx) -> float:
+def check_gauge_residual(ctx) -> np.ndarray:
     frame, params, spec = ctx.frame, ctx.params, ctx.spec
     t = ctx.safe_times(60, seed=202)
     h = ctx.fd_step(t)
     g_lo, g_hi = np.split(frame.gauge(np.concatenate([t - h, t + h])), 2)
     gdot = (g_hi - g_lo) / (2.0 * h)
     x, xd, _ = frame.values(t)
-    res = gdot - 0.5 * params.m * xd * xd + 0.5 * params.m * params.omega**2 * x * x \
-        - x * spec.evaluate(t)
-    return float(np.max(np.abs(res)))
+    return np.abs(gdot - 0.5 * params.m * xd * xd + 0.5 * params.m * params.omega**2 * x * x
+                  - x * spec.evaluate(t))
 
 
-def _transformation_law_error(ctx, params) -> float:
+def _transformation_law_error(ctx, params) -> np.ndarray:
     spec, scn = ctx.spec, ctx.scenario
     if params == ctx.params:
         frame = ctx.frame
@@ -255,153 +241,141 @@ def _transformation_law_error(ctx, params) -> float:
     xi, p = x - xc, eta + m * vc
     knew = 0.5 * (eta * eta / m + m * w * w * xi * xi)
     hold = 0.5 * (p * p / m + m * w * w * x * x) - x * spec.evaluate(t)
-    return float(np.max(np.abs(knew - (hold + df1))))
+    return np.abs(knew - (hold + df1))
 
 
-def check_transformation_law(ctx) -> float:
-    base = _transformation_law_error(ctx, ctx.params)
+def check_transformation_law(ctx) -> np.ndarray:
     doubled = OscillatorParams(2.0 * ctx.params.m, ctx.params.omega)
-    return max(base, _transformation_law_error(ctx, doubled))
+    return np.concatenate([_transformation_law_error(ctx, ctx.params),
+                           _transformation_law_error(ctx, doubled)])
 
 
-def check_frame_roundtrip(ctx) -> float:
-    rng = np.random.default_rng(205)
-    worst = 0.0
-    for t in ctx.safe_times(20, seed=206):
-        z = PhaseState(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        back = ctx.frame.to_lab(ctx.frame.to_moving(z, t), t)
-        worst = max(worst, abs(back.x - z.x), abs(back.p - z.p))
-    return worst
+def _phase_states(rng, count: int, half_width: float) -> list:
+    """count seeded phase-space points, x and p uniform in +-half_width."""
+    return [PhaseState(*z) for z in rng.uniform(-half_width, half_width, (count, 2)).tolist()]
 
 
-def check_classical_frame_covariance(ctx) -> float:
-    rng = np.random.default_rng(207)
-    worst = 0.0
-    for t in ctx.safe_times(10, seed=208):
-        z0 = PhaseState(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-        lab = _rk_reference(ctx.params, ctx.spec, z0, t)  # independent of the frame's walk
-        lhs = ctx.frame.to_moving(lab, t)
-        rhs = classical.propagator(ctx.params, t) @ ctx.frame.to_moving(z0, 0.0).as_array()
-        worst = max(worst, abs(lhs.x - rhs[0]), abs(lhs.p - rhs[1]))
-    return worst
+def check_frame_roundtrip(ctx) -> np.ndarray:
+    frame = ctx.frame
+    zs = _phase_states(np.random.default_rng(205), 20, 2.0)
+    return np.abs([frame.to_lab(frame.to_moving(z, t), t).as_array() - z.as_array()
+                   for t, z in zip(ctx.safe_times(20, seed=206), zs)])
 
 
-def check_frame_cache_vs_exact(ctx) -> float:
+def check_classical_frame_covariance(ctx) -> np.ndarray:
+    frame, params = ctx.frame, ctx.params
+    z0s = _phase_states(np.random.default_rng(207), 10, 1.0)
+    # the lab side is the RK4 oracle, independent of the frame's walk
+    return np.abs([frame.to_moving(_rk_reference(params, ctx.spec, z0, t), t).as_array()
+                   - classical.propagator(params, t) @ frame.to_moving(z0, 0.0).as_array()
+                   for t, z0 in zip(ctx.safe_times(10, seed=208), z0s)])
+
+
+def check_frame_cache_vs_exact(ctx) -> np.ndarray:
     t = ctx.safe_times(6, seed=209)
-    cached = np.array(ctx.frame.values(t))
-    exact = np.array(ctx.frame.exact_values(t))
-    return float(np.max(np.abs(cached - exact)))
+    return np.abs(np.array(ctx.frame.values(t)) - np.array(ctx.frame.exact_values(t)))
 
 
 # ---------------------------------------------------------------------------
 # quantum suite
 
-def check_hermite_orthonormality(ctx) -> float:
+def check_hermite_orthonormality(ctx) -> np.ndarray:
     nodes, weights = hermite.gauss_hermite_rule(40)
-    worst = 0.0
-    for n in range(13):
-        hn = hermite.hermite_poly(n, nodes)
-        for m in range(n, 13):
-            hm = hermite.hermite_poly(m, nodes)
-            norm = math.exp(-0.5 * ((n + m) * math.log(2.0) + math.lgamma(n + 1)
-                                    + math.lgamma(m + 1) + math.log(math.pi)))
-            val = float(np.sum(weights * hn * hm)) * norm
-            worst = max(worst, abs(val - (1.0 if n == m else 0.0)))
-    return worst
+    h = [hermite.hermite_poly(n, nodes) for n in range(13)]
+
+    def overlap(n, m):
+        norm = math.exp(-0.5 * ((n + m) * math.log(2.0) + math.lgamma(n + 1)
+                                + math.lgamma(m + 1) + math.log(math.pi)))
+        return float(np.sum(weights * h[n] * h[m])) * norm
+
+    return np.abs([overlap(n, m) - float(n == m) for n in range(13) for m in range(n, 13)])
 
 
-def check_generating_function(ctx) -> float:
+def check_generating_function(ctx) -> np.ndarray:
     rng = np.random.default_rng(301)
-    worst = 0.0
-    for n in range(16):
-        for x in rng.uniform(-2.0, 2.0, 8):
-            # Explicit closed sum for the series coefficient of e^{2xu-u^2};
-            # no recurrence shared with hermite_poly.
-            coeff = sum((-1.0) ** j * (2.0 * x) ** (n - 2 * j)
-                        / (math.factorial(j) * math.factorial(n - 2 * j))
-                        for j in range(n // 2 + 1))
-            ref = math.factorial(n) * coeff
-            got = hermite.hermite_poly(n, float(x))
-            worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
-    return worst
+
+    def error(n, x):
+        # Explicit closed sum for the series coefficient of e^{2xu-u^2};
+        # no recurrence shared with hermite_poly.
+        coeff = sum((-1.0) ** j * (2.0 * x) ** (n - 2 * j)
+                    / (math.factorial(j) * math.factorial(n - 2 * j))
+                    for j in range(n // 2 + 1))
+        ref = math.factorial(n) * coeff
+        return abs(hermite.hermite_poly(n, x) - ref) / max(1.0, abs(ref))
+
+    return np.array([error(n, x) for n in range(16) for x in rng.uniform(-2.0, 2.0, 8).tolist()])
 
 
-def check_gaussian_moment(ctx) -> float:
+def check_gaussian_moment(ctx) -> np.ndarray:
     rng = np.random.default_rng(302)
     nodes, weights = hermite.gauss_hermite_rule(80)
-    worst = 0.0
-    for _ in range(40):
-        z = complex(rng.uniform(-3.5, 3.5), rng.uniform(-3.5, 3.5))
-        if abs(z) > 5.0:
-            continue
-        quad = complex(np.sum(weights * np.exp(z * nodes)))
-        worst = max(worst, abs(hermite.gaussian_integral(z) - quad))
-    return worst
+    zs = [complex(*z) for z in rng.uniform(-3.5, 3.5, (40, 2)).tolist()]
+    return np.abs([hermite.gaussian_integral(z) - complex(np.sum(weights * np.exp(z * nodes)))
+                   for z in zs if abs(z) <= 5.0])
 
 
-def check_eigenstate_operator(ctx) -> float:
+def check_eigenstate_operator(ctx) -> np.ndarray:
     params = ctx.params
     grid = schrodinger.GridSpec.default(params)
     k2 = grid.wavenumbers**2
-    worst = 0.0
-    for n in range(9):
+
+    def residual(n):
         psi = schrodinger.eigenstate_wavefunction(params, n, grid)
         kin = np.fft.ifft(k2 / (2.0 * params.m) * np.fft.fft(psi.values))
         pot = 0.5 * params.m * params.omega**2 * grid.x**2 * psi.values
-        res = kin + pot - hermite.eigen_energy(params, n) * psi.values
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+        return kin + pot - hermite.eigen_energy(params, n) * psi.values
+
+    return np.abs([residual(n) for n in range(9)])
 
 
-def check_amplitude_vs_quadrature(ctx) -> float:
+def _displacement(rng, half_width: float) -> transitions.DisplacementParams:
+    return transitions.DisplacementParams(float(rng.uniform(-half_width, half_width)),
+                                          float(rng.uniform(-half_width, half_width)))
+
+
+def check_amplitude_vs_quadrature(ctx) -> np.ndarray:
     rng = np.random.default_rng(303)
-    worst = 0.0
-    for _ in range(120):
-        n, m = int(rng.integers(0, 11)), int(rng.integers(0, 11))
-        d = transitions.DisplacementParams(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-        closed = transitions.overlap_amplitude(n, m, d)
-        oracle = transitions.overlap_by_quadrature(n, m, d, order=60)
-        worst = max(worst, abs(closed - oracle))
-    return worst
+    draws = [(int(rng.integers(0, 11)), int(rng.integers(0, 11)), _displacement(rng, 3.0))
+             for _ in range(120)]
+    return np.abs([transitions.overlap_amplitude(n, m, d)
+                   - transitions.overlap_by_quadrature(n, m, d, order=60) for n, m, d in draws])
 
 
-def check_row_unitarity(ctx) -> float:
+def check_row_unitarity(ctx) -> np.ndarray:
     rng = np.random.default_rng(304)
-    worst = 0.0
-    for n in range(6):
-        d = transitions.DisplacementParams(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+
+    def error(n, d):
         # the column the transitions command ships, summed to where its row ends
         column, = transitions.probability_columns(n, [d], ctx.scenario.m_max, 1e-12)
         row = transitions.probability_row(n, column, 1e-12)
-        worst = max(worst, abs(float(np.cumsum(column)[row.truncation_m - 1]) - 1.0))
-    return worst
+        return float(np.cumsum(column)[row.truncation_m - 1]) - 1.0
+
+    return np.abs([error(n, _displacement(rng, 2.0)) for n in range(6)])
 
 
-def check_ground_row_poisson(ctx) -> float:
+def check_ground_row_poisson(ctx) -> np.ndarray:
     rng = np.random.default_rng(305)
-    worst = 0.0
-    for _ in range(6):
-        d = transitions.DisplacementParams(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+
+    def error(d):
         lam = d.poisson_mean()
         got, = transitions.probability_columns(0, [d], 15, 1e-12)  # covers m <= 15
-        for m in range(16):
-            ref = math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam > 0 else float(m == 0)
-            worst = max(worst, abs(float(got[m]) - ref))
-    return worst
+        ref = [math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam > 0 else float(m == 0)
+               for m in range(16)]
+        return got[:16] - ref
+
+    return np.abs([error(_displacement(rng, 2.0)) for _ in range(6)])
 
 
-def check_amplitude_symmetry(ctx) -> float:
+def check_amplitude_symmetry(ctx) -> np.ndarray:
     """|A(n, m)| against |A(m, n)| at 150 random (n, m, d), read from one
     column block per n over every drawn lambda."""
     rng = np.random.default_rng(306)
-    ns, ms, lams = np.zeros(150, dtype=int), np.zeros(150, dtype=int), np.zeros(150)
-    for i in range(150):
-        ns[i], ms[i] = rng.integers(0, 12), rng.integers(0, 12)
-        lams[i] = transitions.DisplacementParams(float(rng.uniform(-3, 3)),
-                                                 float(rng.uniform(-3, 3))).poisson_mean()
+    draws = [(rng.integers(0, 12), rng.integers(0, 12), _displacement(rng, 3.0).poisson_mean())
+             for _ in range(150)]
+    ns, ms, lams = (np.array(v) for v in zip(*draws))
     log_mag = np.array([transitions._laguerre_column(n, lams, 12)[1] for n in range(12)])
     draw = np.arange(150)
-    return float(np.max(np.abs(np.exp(log_mag[ns, draw, ms]) - np.exp(log_mag[ms, draw, ns]))))
+    return np.abs(np.exp(log_mag[ns, draw, ms]) - np.exp(log_mag[ms, draw, ns]))
 
 
 def _random_state(params, grid, modes, rng):
@@ -425,35 +399,33 @@ def _mix_modes(params, grid, modes, rng, t):
     return start.normalized(), schrodinger.WaveFunction(grid, evolved)
 
 
-def check_momentum_rep_unitarity(ctx) -> float:
+def check_momentum_rep_unitarity(ctx) -> np.ndarray:
     params = ctx.params
     grid = schrodinger.GridSpec.default(params)
     modes = _eigenmodes(params, grid)
     rng = np.random.default_rng(307)
-    worst = 0.0
-    for _ in range(5):
-        psi = _random_state(params, grid, modes, rng)
-        worst = max(worst, abs(schrodinger.momentum_representation(psi).norm() - psi.norm()))
-    return worst
+    states = [_random_state(params, grid, modes, rng) for _ in range(5)]
+    return np.abs([schrodinger.momentum_representation(psi).norm() - psi.norm()
+                   for psi in states])
 
 
-def check_operator_covariance_position(ctx) -> float:
+def check_operator_covariance_position(ctx) -> np.ndarray:
     return _operator_covariance(ctx, momentum=False)
 
 
-def check_operator_covariance_momentum(ctx) -> float:
+def check_operator_covariance_momentum(ctx) -> np.ndarray:
     return _operator_covariance(ctx, momentum=True)
 
 
-def _operator_covariance(ctx, momentum: bool) -> float:
+def _operator_covariance(ctx, momentum: bool) -> np.ndarray:
     params = ctx.params
     frame = ctx.frame
     grid = ctx.grid
     rng = np.random.default_rng(308 + int(momentum))
     x = grid.x
     k = grid.wavenumbers
-    worst = 0.0
-    for t in ctx.safe_times(4, seed=309 + int(momentum)):
+
+    def error(t):
         phi = _random_state(params, grid, ctx.modes, rng)
         mapped = schrodinger.moving_to_lab(frame, phi, t)
         if momentum:
@@ -465,41 +437,38 @@ def _operator_covariance(ctx, momentum: bool) -> float:
             opphi = schrodinger.WaveFunction(grid, x * phi.values)
             lhs = schrodinger.moving_to_lab(frame, opphi, t).values
             rhs = (x - frame.x_nh(t)) * mapped.values
-        worst = max(worst, math.sqrt(float(np.sum(np.abs(lhs - rhs) ** 2)) * grid.dx))
-    return worst
+        return math.sqrt(float(np.sum(np.abs(lhs - rhs) ** 2)) * grid.dx)
+
+    return np.array([error(t) for t in ctx.safe_times(4, seed=309 + int(momentum))])
 
 
-def check_evolution_covariance_moving(ctx) -> float:
+def _distance(a, b) -> float:
+    """L2 norm of a - b for two states on the same grid."""
+    return schrodinger.WaveFunction(a.grid, a.values - b.values).norm()
+
+
+def check_evolution_covariance_moving(ctx) -> np.ndarray:
     """Driven evolution mapped to the moving frame vs the exact unforced
     evolution, no global phase fitted; the first two driven pairs."""
-    grid, frame = ctx.grid, ctx.frame
     t = ctx.scenario.t_max
-    worst = 0.0
-    for direct, lab in ctx.driven[:2]:
-        via = schrodinger.lab_to_moving(frame, lab, t)
-        worst = max(worst, schrodinger.WaveFunction(grid, via.values - direct.values).norm())
-    return worst
+    return np.array([_distance(schrodinger.lab_to_moving(ctx.frame, lab, t), direct)
+                     for direct, lab in ctx.driven[:2]])
 
 
-def check_evolution_covariance_lab(ctx) -> float:
+def check_evolution_covariance_lab(ctx) -> np.ndarray:
     """Converse direction: exact unforced evolution mapped to the lab frame
     vs direct driven evolution; the third driven pair."""
-    grid, frame = ctx.grid, ctx.frame
-    t = ctx.scenario.t_max
     moving, direct = ctx.driven[2]
-    via = schrodinger.moving_to_lab(frame, moving, t)
-    return schrodinger.WaveFunction(grid, via.values - direct.values).norm()
+    return np.array([_distance(schrodinger.moving_to_lab(ctx.frame, moving, ctx.scenario.t_max),
+                               direct)])
 
 
-def check_frame_map_roundtrip(ctx) -> float:
-    grid, frame = ctx.grid, ctx.frame
-    rng = np.random.default_rng(312)
-    psi = _random_state(ctx.params, grid, ctx.modes, rng)
-    worst = 0.0
-    for t in ctx.safe_times(3, seed=313):
-        back = schrodinger.lab_to_moving(frame, schrodinger.moving_to_lab(frame, psi, t), t)
-        worst = max(worst, schrodinger.WaveFunction(grid, back.values - psi.values).norm())
-    return worst
+def check_frame_map_roundtrip(ctx) -> np.ndarray:
+    frame = ctx.frame
+    psi = _random_state(ctx.params, ctx.grid, ctx.modes, np.random.default_rng(312))
+    return np.array([
+        _distance(schrodinger.lab_to_moving(frame, schrodinger.moving_to_lab(frame, psi, t), t), psi)
+        for t in ctx.safe_times(3, seed=313)])
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +518,7 @@ def run_suite(scenario: Scenario, suite: str = "all") -> list[CheckResult]:
     for check in CHECKS:
         if suite != "all" and check.suite != suite:
             continue
-        err = float(check.fn(ctx))
+        err = float(np.max(check.fn(ctx)))
         results.append(CheckResult(
             check=check.name, suite=check.suite,
             status="pass" if err < check.tolerance else "fail",

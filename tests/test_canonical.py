@@ -147,6 +147,20 @@ class TestFrameData:
         out = const_frame_pi.values(np.array([]))
         assert len(out) == 3 and all(a.shape == (0,) for a in out)
 
+    @pytest.mark.parametrize("read", ["values", "exact_values", "x_nh", "xdot_nh", "gauge"])
+    @pytest.mark.parametrize("ts", [np.array(1.0), np.array([[1.0, 2.0]])], ids=["0-d", "2-d"])
+    def test_array_that_is_not_1d_rejected(self, const_frame_pi, read, ts):
+        # a read takes a float or a 1-D array; any other array is a
+        # DomainError, as a time out of range is
+        with pytest.raises(DomainError, match="1-D"):
+            getattr(const_frame_pi, read)(ts)
+
+    @pytest.mark.parametrize("read", ["values", "exact_values"])
+    def test_numpy_scalar_reads_as_a_float(self, const_frame_pi, read):
+        got = getattr(const_frame_pi, read)(np.float64(1.0))
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert got == getattr(const_frame_pi, read)(1.0)
+
     def test_bad_build_arguments(self, params11):
         with pytest.raises(DomainError):
             build_frame(params11, ZeroForcing(), 0.0)

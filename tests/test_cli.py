@@ -31,7 +31,7 @@ from drivenosc import (
     propagator,
     quadratic_invariant,
 )
-from drivenosc import canonical, classical, cli, schrodinger, transitions, verify
+from drivenosc import canonical, classical, cli, hermite, schrodinger, transitions, verify
 from drivenosc.canonical import CanonicalFrame, build_frame
 from drivenosc.cli import main
 from drivenosc.scenario import REPORT_SCHEMA, SCENARIO_SCHEMA, Scenario
@@ -795,6 +795,42 @@ class TestVerifyCommand:
         result = self.run_one_check(monkeypatch, default_scenario, name)
         assert calls[0] > 1
         assert result.status == "fail" and math.isnan(result.max_error)
+
+    def test_a_nan_error_fails_its_check(self, monkeypatch, default_scenario):
+        # run_suite alone reduces a check's errors, so a NaN among them is
+        # the max_error whatever the other errors are
+        check = verify.Check("poisoned", "classical", 1e-12, lambda ctx: [0.0, math.nan, 0.0])
+        monkeypatch.setattr(verify, "CHECKS", (check,))
+        result, = run_suite(Scenario.from_dict(default_scenario), "classical")
+        assert result.status == "fail" and math.isnan(result.max_error)
+
+    @pytest.mark.parametrize("name, module, oracle", [
+        ("amplitude_closed_vs_quadrature", transitions, "overlap_by_quadrature"),
+        ("gaussian_moment_vs_quadrature", hermite, "gaussian_integral")])
+    def test_a_nan_from_an_oracle_fails_the_check(self, monkeypatch, default_scenario,
+                                                  name, module, oracle):
+        # NaN at the second call only, so a reduction that skips NaN would
+        # see the other draws' finite errors and pass
+        calls = []
+        original = getattr(module, oracle)
+
+        def poisoned(*args, **kwargs):
+            calls.append(args)
+            value = original(*args, **kwargs)
+            return math.nan if len(calls) == 2 else value
+
+        monkeypatch.setattr(module, oracle, poisoned)
+        result = self.run_one_check(monkeypatch, default_scenario, name)
+        assert len(calls) > 2
+        assert result.status == "fail" and math.isnan(result.max_error)
+
+    def test_every_check_returns_its_errors(self, default_scenario):
+        # each check hands run_suite all its errors, not their maximum
+        ctx = _Context(Scenario.from_dict(default_scenario))
+        for check in verify.CHECKS:
+            errors = check.fn(ctx)
+            assert type(errors) is np.ndarray and errors.size > 0, check.name
+            assert errors.dtype.kind == "f" and np.all(errors >= 0.0), check.name
 
     @pytest.mark.parametrize("m", [1e300, 1e-300])
     def test_extreme_mass_oracle_fails_without_warnings(self, tmp_path, m):
