@@ -13,6 +13,13 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error or
 unwritable output, 3 numerical failure or any other unexpected exception
 (reported in one line as "internal failure: <Type>: <message>").  Output
 is bit-stable for identical scenarios.
+Outputs are streamed: CSV is formatted at most CSV_CHUNK_ROWS rows at a
+time, and ``transitions`` writes each time's CSV block and JSON row as
+its column arrives, holding one block of columns (transitions.py), so
+the text and Python objects a writer holds do not grow with the file.
+Each file is written under a temporary name beside it and renamed onto
+it only when the command succeeds, so a failed run leaves no new or
+partial file.
 Multiple --scenario flags run independently; --jobs N dispatches them in
 parallel (each run is internally deterministic), with N clamped to the
 number of scenarios and of CPUs.
@@ -39,28 +46,58 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+# Rows of a CSV block formatted at once: the text and the Python floats of
+# one chunk are all a writer holds beyond the block itself.
+CSV_CHUNK_ROWS = 1 << 14
+
+
+class _Staged:
+    """``with _Staged(*paths) as temps``: a temporary name beside each path.
+    On a clean exit each is renamed onto its path; on any error all are
+    removed, so a failed run leaves no new or partial file."""
+
+    def __init__(self, *paths: Path):
+        self.pairs = [(p.with_name(f".{p.name}.{os.getpid()}.tmp"), p) for p in paths]
+
+    def __enter__(self) -> list[Path]:
+        return [temp for temp, _ in self.pairs]
+
+    def __exit__(self, exc_type, *_) -> None:
+        try:
+            if exc_type is None:
+                for temp, path in self.pairs:
+                    os.replace(temp, path)
+        finally:
+            for temp, _ in self.pairs:
+                temp.unlink(missing_ok=True)
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:
-    """The header, then the rows of each block, every value as %.17g.
+    """The header, then the rows of each block, every value as %.17g,
+    formatted CSV_CHUNK_ROWS rows at a time.
 
-    A block holds one entry per column: a list (that column's value on
-    each row; at least one column is a list or a range), a range (an
-    index column, written as %d: the same text as %.17g for any int
-    below 2**53, far more rows than a block can hold) or a scalar (the
-    same value on every row of the block, formatted once).
+    A block holds one entry per column: a list or a 1-D ndarray (that
+    column's value on each row; at least one column is one of these or a
+    range), a range (an index column, written as %d: the same text as
+    %.17g for any int below 2**53, far more rows than a block can hold)
+    or a scalar (the same value on every row of the block, formatted once).
     """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            arrays = [c for c in block if isinstance(c, (list, range))]
-            line = ",".join("%d" if isinstance(c, range) else "%.17g" if isinstance(c, list)
+            arrays = [c for c in block if isinstance(c, (list, range, np.ndarray))]
+            line = ",".join("%d" if isinstance(c, range)
+                            else "%.17g" if isinstance(c, (list, np.ndarray))
                             else "%.17g" % c for c in block) + "\n"
             rows = len(arrays[0])
-            values = [None] * (rows * len(arrays))
-            for j, column in enumerate(arrays):
-                values[j::len(arrays)] = column
-            fh.write(line * rows % tuple(values))
+            for start in range(0, rows, CSV_CHUNK_ROWS):
+                chunk = [c[start:start + CSV_CHUNK_ROWS] for c in arrays]
+                count = len(chunk[0])
+                values = [None] * (count * len(chunk))
+                for j, column in enumerate(chunk):
+                    values[j::len(chunk)] = \
+                        column.tolist() if isinstance(column, np.ndarray) else column
+                fh.write(line * count % tuple(values))
 
 
 def _times(scn: Scenario) -> np.ndarray:
@@ -75,8 +112,9 @@ def cmd_classical(scn: Scenario, out_dir: Path) -> list[Path]:
     z, z_nh, invariant = classical.trajectory(scn.params, scn.initial_state, times,
                                               x_nh, xdot_nh)
     path = out_dir / "trajectory.csv"
-    _write_csv(path, ["t", "x", "p", "x_nh", "p_nh", "invariant"],
-               [(times.tolist(), *z.T.tolist(), *z_nh.T.tolist(), invariant.tolist())])
+    with _Staged(path) as (temp,):
+        _write_csv(temp, ["t", "x", "p", "x_nh", "p_nh", "invariant"],
+                   [(times, *z.T, *z_nh.T, invariant)])
     return [path]
 
 
@@ -95,47 +133,43 @@ def _displacements(scn: Scenario) -> tuple[np.ndarray, list, list[float]]:
     return times, displacements, lams
 
 
-def _write_rows_json(path: Path, rows) -> None:
-    """``json.dump(rows, fh, indent=2, sort_keys=True)`` and a newline, for
-    a non-empty list of transition rows with finite floats, written row by
-    row from one template (json's encoder writes a finite float as
-    ``float.__repr__`` does)."""
-    template = ('  {\n    "lambda": %s,\n    "n": %d,\n    "probabilities": [\n      %s\n'
-                '    ],\n    "t": %s,\n    "tail_bound": %s\n  }')
-    with open(path, "w") as fh:
-        fh.write("[\n")
-        for i, row in enumerate(rows):
-            fh.write((",\n" if i else "") + template % (
-                float.__repr__(row["lambda"]), row["n"],
-                ",\n      ".join(map(float.__repr__, row["probabilities"])),
-                float.__repr__(row["t"]), float.__repr__(row["tail_bound"])))
-        fh.write("\n]\n")
+_ROW_JSON = ('  {\n    "lambda": %s,\n    "n": %d,\n    "probabilities": [\n      %s\n'
+             '    ],\n    "t": %s,\n    "tail_bound": %s\n  }')
+
+
+def _row_json(t: float, n: int, lam: float, probabilities, tail_bound: float) -> str:
+    """One row's entry in ``json.dump(rows, fh, indent=2, sort_keys=True)``
+    of a list of {"n", "t", "lambda", "probabilities", "tail_bound"} dicts
+    with finite floats, from one template (json's encoder writes a finite
+    float as ``float.__repr__`` does).  That list opens with "[\n",
+    separates its entries with ",\n" and closes with "\n]"."""
+    return _ROW_JSON % (float.__repr__(lam), n,
+                        ",\n      ".join(map(float.__repr__, probabilities)),
+                        float.__repr__(t), float.__repr__(tail_bound))
 
 
 def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
     """P(n_initial -> m) and the excitation mean: all displacements from one
     frame read, the columns in blocks of times, each only as long as its
-    row or m <= m_max needs (at most max(501, m_max + 1) entries)."""
+    row or m <= m_max needs (at most max(501, m_max + 1) entries).  One
+    pass over the columns writes both files, one time after another."""
     n = scn.n_initial
     times, displacements, lams = _displacements(scn)
     columns = transitions.probability_columns(n, displacements, scn.m_max, scn.tail_tol)
-    csv_blocks = []
-    json_rows = []
-    for t, lam, column in zip(times.tolist(), lams, columns):
-        row = transitions.probability_row(n, column, scn.tail_tol)
-        probs = column[:max(row.truncation_m, scn.m_max + 1)].tolist()  # row or m <= m_max
-        csv_blocks.append((t, n, range(len(probs)), probs, lam))
-        json_rows.append({
-            "n": n,
-            "t": t,
-            "lambda": lam,
-            "probabilities": row.probabilities,
-            "tail_bound": row.tail_bound,
-        })
-    csv_path = out_dir / "transitions.csv"
-    _write_csv(csv_path, ["t", "n", "m", "P", "lambda"], csv_blocks)
-    json_path = out_dir / "transition_rows.json"
-    _write_rows_json(json_path, json_rows)
+    csv_path, json_path = out_dir / "transitions.csv", out_dir / "transition_rows.json"
+    with _Staged(csv_path, json_path) as (csv_temp, json_temp), open(json_temp, "w") as fh:
+        def blocks():
+            """Each time's CSV block; its JSON row is written as the block is made."""
+            fh.write("[\n")
+            for i, (t, lam, column) in enumerate(zip(times.tolist(), lams, columns)):
+                row = transitions.probability_row(n, column, scn.tail_tol)
+                fh.write((",\n" if i else "")
+                         + _row_json(t, n, lam, row.probabilities, row.tail_bound))
+                probs = column[:max(row.truncation_m, scn.m_max + 1)].tolist()  # row or m <= m_max
+                yield t, n, range(len(probs)), probs, lam
+            fh.write("\n]\n")
+
+        _write_csv(csv_temp, ["t", "n", "m", "P", "lambda"], blocks())
     return [csv_path, json_path]
 
 
@@ -143,8 +177,9 @@ def cmd_survival(scn: Scenario, out_dir: Path) -> list[Path]:
     """Ground-state survival probability exp(-lambda) over the time grid."""
     times, _, lams = _displacements(scn)
     path = out_dir / "survival.csv"
-    _write_csv(path, ["t", "lambda", "survival"],
-               [(times.tolist(), lams, [math.exp(-lam) for lam in lams])])
+    with _Staged(path) as (temp,):
+        _write_csv(temp, ["t", "lambda", "survival"],
+                   [(times, lams, [math.exp(-lam) for lam in lams])])
     return [path]
 
 
@@ -153,27 +188,25 @@ def cmd_evolve_pde(scn: Scenario, out_dir: Path) -> list[Path]:
     grid = scn.resolved_grid()
     psi = schrodinger.eigenstate_wavefunction(scn.params, scn.n_initial, grid)
     ground = schrodinger.eigenstate_wavefunction(scn.params, 0, grid)
-    log_rows = []
+    times = _times(scn)
+    log = np.empty((times.size, 3))  # norm, energy, overlap_ground at each time
     t_prev = 0.0
-    for t in _times(scn):
-        t = float(t)
+    for i, t in enumerate(times.tolist()):
         if t > t_prev:
             psi = schrodinger.evolve_lab(scn.params, scn.forcing, psi, t, t0=t_prev)
             t_prev = t
-        row = (t, psi.norm(), schrodinger.energy_expectation(scn.params, psi, scn.forcing, t),
+        row = (psi.norm(), schrodinger.energy_expectation(scn.params, psi, scn.forcing, t),
                abs(schrodinger.overlap(ground, psi)) ** 2)
         if not all(map(math.isfinite, row)):
-            raise NumericError(f"evolve-pde: (norm, energy, overlap_ground) = {row[1:]} is not "
+            raise NumericError(f"evolve-pde: (norm, energy, overlap_ground) = {row} is not "
                                f"finite at t={t:.17g}", partial=psi)
-        log_rows.append(row)
-    log_path = out_dir / "evolution.csv"
-    _write_csv(log_path, ["t", "norm", "energy", "overlap_ground"],
-               [tuple(map(list, zip(*log_rows)))])
-    state_path = out_dir / "final_state.csv"
+        log[i] = row
+    log_path, state_path = out_dir / "evolution.csv", out_dir / "final_state.csv"
     values = psi.values
-    _write_csv(state_path, ["x", "re", "im", "abs2"],
-               [(grid.x.tolist(), values.real.tolist(), values.imag.tolist(),
-                 [abs(v) ** 2 for v in values])])
+    with _Staged(log_path, state_path) as (log_temp, state_temp):
+        _write_csv(log_temp, ["t", "norm", "energy", "overlap_ground"], [(times, *log.T)])
+        _write_csv(state_temp, ["x", "re", "im", "abs2"],
+                   [(grid.x, values.real, values.imag, [abs(v) ** 2 for v in values])])
     return [log_path, state_path]
 
 
@@ -188,7 +221,7 @@ def cmd_verify(scn: Scenario, out_dir: Path, suite: str) -> tuple[list[Path], bo
     }
     validate(REPORT_SCHEMA, report, "report")  # a ValueError: a fault of the program, exit 3
     path = out_dir / "report.json"
-    with open(path, "w") as fh:
+    with _Staged(path) as (temp,), open(temp, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for r in results:

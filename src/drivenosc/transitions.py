@@ -104,8 +104,11 @@ class TransitionRow:
 
 
 def _valid_row(probs) -> bool:
-    """Each entry in [0, 1] and the sum at most 1, up to rounding; NaN fails."""
-    return bool(_valid_rows(np.asarray(probs, dtype=float)))
+    """Each entry in [0, 1] and the sum at most 1, up to rounding; NaN fails.
+    The same decision as ``_valid_rows`` on one row (an empty row passes)."""
+    p = np.asarray(probs, dtype=float)
+    return p.size == 0 or bool(p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12
+                               and p.sum() <= 1.0 + 1e-10)
 
 
 def _valid_rows(p: np.ndarray) -> np.ndarray:
@@ -249,7 +252,7 @@ def probability_row(n: int, column: np.ndarray, tail_tol: float) -> TransitionRo
         raise DomainError(f"tail_tol must be positive, got {tail_tol!r}")
     n = _check_n(n)
     cumulative = np.cumsum(column)
-    stop = int(_row_stop(cumulative, tail_tol))
+    stop = np.count_nonzero(cumulative <= 1.0 - tail_tol) + 1  # _row_stop of one row
     if stop > len(column):
         raise NumericError(f"transition row from n={n} did not capture 1 - {tail_tol} "
                            f"within m <= {len(column) - 1}", partial=tuple(column.tolist()))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -400,6 +401,31 @@ class TestTransitionsCommand:
         assert main(["transitions", "--scenario", str(scn), "--out", str(tmp_path)]) == 3
         assert "did not capture 1 - 1e-09 within m <= 500" in capsys.readouterr().err
 
+    def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch):
+        # the n = 300 row outgrows its 501-entry column only as lambda grows,
+        # so rows of earlier times are written before the run fails
+        good = write_scenario(tmp_path, name="good.json", time={"t_max": math.pi, "samples": 9})
+        bad = write_scenario(tmp_path, name="bad.json", forcing={"type": "constant", "K": 5.0},
+                             time={"t_max": math.pi, "samples": 9},
+                             quantum={"n_initial": 300, "m_max": 16})
+        out = tmp_path / "out"
+        assert main(["transitions", "--scenario", str(good), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["transition_rows.json", "transitions.csv"]
+        rows = []
+        probability_row = transitions.probability_row
+
+        def counted(*args):
+            rows.append(probability_row(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(transitions, "probability_row", counted)
+        for directory, expected in ((tmp_path / "fresh", {}), (out, before)):
+            rows.clear()
+            assert main(["transitions", "--scenario", str(bad), "--out", str(directory)]) == 3
+            assert 0 < len(rows) < 9
+            assert {p.name: p.read_bytes() for p in directory.iterdir()} == expected
+
     def test_rows_past_m_500_when_m_max_reaches_them(self, tmp_path):
         # constant K = 5 displaces by lambda = 2 K^2 = 50 at t = pi: from
         # n = 300 the row runs to m ~ 627, past the 501-entry default column
@@ -439,6 +465,29 @@ class TestTransitionsCommand:
                 assert abs(row["probabilities"][m] - float(exact)) < 2e-14
 
 
+class TestBoundedMemory:
+    """Peak traced memory of one in-process run.  The output stage holds one
+    block of rows, so the peak stays below a bound that holding every row as
+    Python objects exceeded about 3x (28.9 MiB for transitions, 49.3 MiB
+    for classical, against 6.8 and 13.2 MiB streamed)."""
+
+    @pytest.mark.parametrize("command, samples, bound_mib", [
+        ("transitions", 20_000, 10),
+        ("classical", 100_000, 16),
+    ])
+    def test_peak_is_bounded(self, tmp_path, command, samples, bound_mib):
+        scn = write_scenario(tmp_path, forcing={"type": "sinusoid", "A": 1.0, "Omega": 1.3,
+                                                "phi": 0.2},
+                             time={"t_max": math.pi, "samples": samples})
+        tracemalloc.start()
+        try:
+            assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
+
+
 class TestWriteCsv:
     def test_blocks_equal_formatting_each_value(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -466,9 +515,37 @@ class TestWriteCsv:
         assert expected[-1] == "-1,9,9007199254740991,0.5,3"
         assert path.read_text() == "\n".join(expected) + "\n"
 
+    def test_ndarray_columns_and_chunk_edges_write_the_list_bytes(self, tmp_path):
+        # ndarray columns (contiguous, strided and 2-D transposed views), and
+        # blocks that end at, just past and well past a chunk edge
+        rng = np.random.default_rng(23)
+        edge = cli.CSV_CHUNK_ROWS
+        z = rng.standard_normal((edge + 3, 2)) * np.logspace(-300, 300, edge + 3)[:, None]
+        z[::7] = -0.0
+        t = np.linspace(0.0, math.pi, edge + 3)
+        values = rng.standard_normal(2 * edge + 5) + 1j * rng.standard_normal(2 * edge + 5)
+        arrays = [
+            (t, *z.T, 1.5),
+            (0.25, range(edge), rng.random(edge), np.arange(edge, dtype=float)),
+            (values.real, -0.0, range(2 * edge + 5), values.imag),
+            (np.array([5e-324, 1e308]), 2.0, range(2), [0.1, 0.2]),
+            (np.array([]), 1.0, range(0), []),
+        ]
+        lists = [tuple(c.tolist() if isinstance(c, np.ndarray) else c for c in block)
+                 for block in arrays]
+        written = []
+        for name, blocks in (("arrays.csv", arrays), ("lists.csv", lists)):
+            cli._write_csv(tmp_path / name, ["a", "b", "c", "d"], blocks)
+            written.append((tmp_path / name).read_bytes())
+        assert written[0] == written[1]
+        lines = written[0].decode().splitlines()
+        assert len(lines) == 1 + (edge + 3) + edge + (2 * edge + 5) + 2
+        for i in (0, edge - 1, edge, edge + 2):  # lines[0] is the header
+            assert lines[i + 1] == "%.17g,%.17g,%.17g,1.5" % (t[i], *z[i])
+
 
 class TestWriteRowsJson:
-    def test_equals_json_dump(self, tmp_path):
+    def test_equals_json_dump(self):
         rng = np.random.default_rng(11)
         rows = [
             {"n": 0, "t": 0.0, "lambda": 0.0, "probabilities": (1.0,), "tail_bound": 0.0},
@@ -478,11 +555,12 @@ class TestWriteRowsJson:
              "probabilities": tuple(rng.random(70).tolist())},
         ]
         for written in (rows, rows[:1]):
-            path = tmp_path / "rows.json"
-            cli._write_rows_json(path, written)
+            text = "[\n" + ",\n".join(
+                cli._row_json(r["t"], r["n"], r["lambda"], r["probabilities"], r["tail_bound"])
+                for r in written) + "\n]"
             expected = io.StringIO()
             json.dump(written, expected, indent=2, sort_keys=True)
-            assert path.read_text() == expected.getvalue() + "\n"
+            assert text == expected.getvalue()
 
 
 class TestSilentDrive:

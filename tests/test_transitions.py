@@ -377,10 +377,14 @@ class TestBlockValidity:
             [0.5, 0.5 + 2e-10, 0.0],  # every entry in range, the sum above
             [math.nan, 0.0, 0.0],
             [math.inf, 0.0, 0.0],
+            [0.5, -math.inf, 0.0],
+            [0.5, math.nan, math.inf],
         ])
         assert _valid_rows(edges).tolist() == [_valid_row(r.tolist()) for r in edges]
         assert _valid_rows(edges).tolist() == [True, True, False, True, False, True, False,
-                                               False, False]
+                                               False, False, False, False]
+        assert _valid_rows(np.empty((2, 0))).tolist() == [True, True]
+        assert _valid_row([]) and _valid_row(np.empty(0))  # an empty row passes
         # long rows whose sums straddle 1 + 1e-10 by a few units in the last place
         rng = np.random.default_rng(17)
         for length in (2, 7, 49, 130, 501):
