@@ -19,7 +19,9 @@ its column arrives, holding one block of columns (transitions.py), so
 the text and Python objects a writer holds do not grow with the file.
 Each file is written under a temporary name beside it and renamed onto
 it only when the command succeeds, so a failed run leaves no new or
-partial file.
+partial file.  An existing output is replaced (a symlink there becomes
+a plain file), and a command's files are renamed one at a time, not
+atomically as a set.
 Multiple --scenario flags run independently; --jobs N dispatches them in
 parallel (each run is internally deterministic), with N clamped to the
 number of scenarios and of CPUs.
@@ -53,8 +55,9 @@ CSV_CHUNK_ROWS = 1 << 14
 
 class _Staged:
     """``with _Staged(*paths) as temps``: a temporary name beside each path.
-    On a clean exit each is renamed onto its path; on any error all are
-    removed, so a failed run leaves no new or partial file."""
+    On a clean exit each is renamed onto its path, one at a time; on any
+    error all that remain are removed, so a failed run leaves no new or
+    partial file."""
 
     def __init__(self, *paths: Path):
         self.pairs = [(p.with_name(f".{p.name}.{os.getpid()}.tmp"), p) for p in paths]

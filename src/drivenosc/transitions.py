@@ -104,18 +104,16 @@ class TransitionRow:
 
 
 def _valid_row(probs) -> bool:
-    """Each entry in [0, 1] and the sum at most 1, up to rounding; NaN fails.
-    The same decision as ``_valid_rows`` on one row (an empty row passes)."""
-    p = np.asarray(probs, dtype=float)
-    return p.size == 0 or bool(p.min() >= -1e-12 and p.max() <= 1.0 + 1e-12
-                               and p.sum() <= 1.0 + 1e-10)
+    """Each entry in [0, 1] and the sum at most 1, up to rounding; NaN fails."""
+    return bool(_valid_rows(np.asarray(probs, dtype=float)))
 
 
 def _valid_rows(p: np.ndarray) -> np.ndarray:
-    """``_valid_row`` along the last axis: one decision per row of a block.
-    Each row is summed on its own, in the order a 1-D sum takes."""
-    in_range = np.all((p >= -1e-12) & (p <= 1.0 + 1e-12), axis=-1)
-    return in_range & (p.sum(axis=-1) <= 1.0 + 1e-10)
+    """``_valid_row`` along the last axis: one decision per row of a block
+    (an empty row passes).  Each row is summed on its own, in the order a
+    1-D sum takes."""
+    return ((p.min(axis=-1, initial=0.0) >= -1e-12) & (p.max(axis=-1, initial=0.0) <= 1.0 + 1e-12)
+            & (p.sum(axis=-1) <= 1.0 + 1e-10))
 
 
 def _laguerre_column(n: int, lam, m_stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +175,7 @@ def overlap_amplitude(n: int, m: int, d: DisplacementParams) -> complex:
 def _row_stop(cumulative: np.ndarray, tail_tol: float) -> np.ndarray:
     """Length of the shortest prefix whose mass exceeds 1 - tail_tol, along
     the last axis of the partial sums; one past the end where none does."""
-    return np.count_nonzero(cumulative <= 1.0 - tail_tol, axis=-1) + 1
+    return (cumulative <= 1.0 - tail_tol).sum(axis=-1) + 1
 
 
 def _checked(n: int, probs: np.ndarray) -> np.ndarray:
@@ -252,7 +250,7 @@ def probability_row(n: int, column: np.ndarray, tail_tol: float) -> TransitionRo
         raise DomainError(f"tail_tol must be positive, got {tail_tol!r}")
     n = _check_n(n)
     cumulative = np.cumsum(column)
-    stop = np.count_nonzero(cumulative <= 1.0 - tail_tol) + 1  # _row_stop of one row
+    stop = int(_row_stop(cumulative, tail_tol))
     if stop > len(column):
         raise NumericError(f"transition row from n={n} did not capture 1 - {tail_tol} "
                            f"within m <= {len(column) - 1}", partial=tuple(column.tolist()))
