@@ -13,10 +13,11 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error or
 unwritable output, 3 numerical failure or any other unexpected exception
 (reported in one line as "internal failure: <Type>: <message>").  Output
 is bit-stable for identical scenarios.
-Outputs are streamed: CSV is formatted at most CSV_CHUNK_ROWS rows at a
-time, and ``transitions`` writes each time's CSV block and JSON row as
-its column arrives, holding one block of columns (transitions.py), so
-the text and Python objects a writer holds do not grow with the file.
+``transitions`` and ``survival`` read one array of lambda = (a^2 + b^2)/2
+from one frame read.  Outputs are streamed: CSV is formatted at most
+CSV_CHUNK_ROWS rows at a time, and ``transitions`` writes each time's CSV
+block and JSON row as its column arrives, holding one block of columns
+(transitions.py), so what a writer holds does not grow with the file.
 Each file is written under a temporary name beside it and renamed onto
 it only when the command succeeds, so a failed run leaves no new or
 partial file.  An existing output is replaced (a symlink there becomes
@@ -121,19 +122,19 @@ def cmd_classical(scn: Scenario, out_dir: Path) -> list[Path]:
     return [path]
 
 
-def _displacements(scn: Scenario) -> tuple[np.ndarray, list, list[float]]:
-    """The sample times, the displacement at each from one frame read, and
-    its excitation mean lambda; NumericError where lambda overflows."""
+def _excitation_means(scn: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The sample times and the excitation mean lambda at each, from one
+    frame read; NumericError at the first lambda that is not finite."""
     times = _times(scn)
     x_nh, xdot_nh, _ = build_frame(scn.params, scn.forcing, scn.t_max).values(times)
-    displacements = transitions.DisplacementParams.series(scn.params, x_nh, xdot_nh)
-    lams = [d.poisson_mean() for d in displacements]
-    if not all(map(math.isfinite, lams)):
-        i = next(i for i, lam in enumerate(lams) if not math.isfinite(lam))
-        d = displacements[i]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+        a, b = transitions.displacements(scn.params, x_nh, xdot_nh)
+        lams = transitions.excitation_mean(a, b)
+    if not np.isfinite(lams).all():
+        i = np.argmin(np.isfinite(lams))  # the first non-finite lambda
         raise NumericError(f"excitation mean lambda = (a^2 + b^2)/2 overflows at "
-                           f"t={times[i]:.17g}, (a, b) = ({d.a!r}, {d.b!r})")
-    return times, displacements, lams
+                           f"t={times[i]:.17g}, (a, b) = ({float(a[i])!r}, {float(b[i])!r})")
+    return times, lams
 
 
 _ROW_JSON = ('  {\n    "lambda": %s,\n    "n": %d,\n    "probabilities": [\n      %s\n'
@@ -152,19 +153,19 @@ def _row_json(t: float, n: int, lam: float, probabilities, tail_bound: float) ->
 
 
 def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
-    """P(n_initial -> m) and the excitation mean: all displacements from one
+    """P(n_initial -> m) and the excitation mean: every lambda from one
     frame read, the columns in blocks of times, each only as long as its
     row or m <= m_max needs (at most max(501, m_max + 1) entries).  One
     pass over the columns writes both files, one time after another."""
     n = scn.n_initial
-    times, displacements, lams = _displacements(scn)
-    columns = transitions.probability_columns(n, displacements, scn.m_max, scn.tail_tol)
+    times, lams = _excitation_means(scn)
+    columns = transitions.probability_columns(n, lams, scn.m_max, scn.tail_tol)
     csv_path, json_path = out_dir / "transitions.csv", out_dir / "transition_rows.json"
     with _Staged(csv_path, json_path) as (csv_temp, json_temp), open(json_temp, "w") as fh:
         def blocks():
             """Each time's CSV block; its JSON row is written as the block is made."""
             fh.write("[\n")
-            for i, (t, lam, column) in enumerate(zip(times.tolist(), lams, columns)):
+            for i, (t, lam, column) in enumerate(zip(times.tolist(), lams.tolist(), columns)):
                 row = transitions.probability_row(n, column, scn.tail_tol)
                 fh.write((",\n" if i else "")
                          + _row_json(t, n, lam, row.probabilities, row.tail_bound))
@@ -178,11 +179,11 @@ def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
 
 def cmd_survival(scn: Scenario, out_dir: Path) -> list[Path]:
     """Ground-state survival probability exp(-lambda) over the time grid."""
-    times, _, lams = _displacements(scn)
+    times, lams = _excitation_means(scn)
     path = out_dir / "survival.csv"
     with _Staged(path) as (temp,):
         _write_csv(temp, ["t", "lambda", "survival"],
-                   [(times, lams, [math.exp(-lam) for lam in lams])])
+                   [(times, lams, np.fromiter(map(math.exp, -lams), float, lams.size))])
     return [path]
 
 

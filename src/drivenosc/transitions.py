@@ -22,13 +22,13 @@ lambda = |beta|^2, lo = min(n, m) and hi = max(n, m) it is evaluated as
 
 for a whole column m = 0 .. M-1 at once, and for a block of times (one
 lambda each) at once.  Each entry depends only on (n, m, lambda), so a
-shorter column is a bit-exact prefix of a longer one.  A row is the
-column's shortest prefix holding 1 - tail_tol; ``probability_columns``
-computes each time's column only as far as its row needs (the route the
-``transitions`` command and verify's row checks share).  NOTES.md derives
-the form from the generating-function k-sum, which cancels
-catastrophically, so is not used; ``overlap_by_quadrature`` is the
-independent oracle for the closed form.
+shorter column is a bit-exact prefix of a longer one, and probabilities
+take lambda alone (``excitation_mean`` of the ``displacements`` a, b).
+A row is the column's shortest prefix holding 1 - tail_tol;
+``probability_columns`` computes each time for its row only (the route
+the ``transitions`` command and verify's row checks share).  NOTES.md
+derives the form from the generating-function k-sum, which cancels
+catastrophically, so is not used; ``overlap_by_quadrature`` is its oracle.
 """
 
 from __future__ import annotations
@@ -57,6 +57,27 @@ ROW_ROOM = 32
 BLOCK_ENTRIES = 1 << 19
 
 
+def _root(m: float, w: float, power: int) -> float:
+    """sqrt(m w^power), power 1 or -1, from the frexp parts of m and w:
+    finite wherever the root is (inf where it overflows), and bit for bit
+    math.sqrt(m * w**power) wherever m * w**power is a normal float."""
+    (fm, em), (fw, ew) = math.frexp(m), math.frexp(w)
+    k, odd = divmod(em + power * ew, 2)
+    return float(np.ldexp(math.sqrt(math.ldexp(fm * fw if power > 0 else fm / fw, odd)), k))
+
+
+def displacements(params: OscillatorParams, x_nh, xdot_nh) -> tuple[np.ndarray, np.ndarray]:
+    """a = sqrt(m w) x_nh and b = xdot_nh sqrt(m / w) of frame value arrays."""
+    if params.omega <= 0.0:
+        raise DomainError("displacement parameters need omega > 0")
+    return _root(params.m, params.omega, 1) * x_nh, xdot_nh * _root(params.m, params.omega, -1)
+
+
+def excitation_mean(a, b):
+    """lambda = |beta|^2 = (a^2 + b^2)/2 of floats or arrays: the mean excitation."""
+    return 0.5 * (a * a + b * b)
+
+
 @dataclass(frozen=True)
 class DisplacementParams:
     """Dimensionless displacement (a, b) of the response orbit."""
@@ -69,24 +90,13 @@ class DisplacementParams:
             raise DomainError(f"displacement must be finite, got ({self.a!r}, {self.b!r})")
 
     @classmethod
-    def series(cls, params: OscillatorParams, x_nh: np.ndarray,
-               xdot_nh: np.ndarray) -> list["DisplacementParams"]:
-        """One displacement per frame value (x_nh[i], xdot_nh[i]), as read
-        by ``CanonicalFrame.values`` for an array of times."""
-        if params.omega <= 0.0:
-            raise DomainError("displacement parameters need omega > 0")
-        a = math.sqrt(params.m * params.omega) * x_nh
-        b = xdot_nh * math.sqrt(params.m / params.omega)
-        return [cls(a=a_i, b=b_i) for a_i, b_i in zip(a.tolist(), b.tolist())]
-
-    @classmethod
     def from_frame(cls, frame: CanonicalFrame, t: float) -> "DisplacementParams":
         x, xdot, _ = frame.values(np.array([t], dtype=float))
-        return cls.series(frame.params, x, xdot)[0]
+        return cls(*(float(v[0]) for v in displacements(frame.params, x, xdot)))
 
     def poisson_mean(self) -> float:
-        """lambda = (a^2 + b^2)/2, the mean excitation from the ground state."""
-        return 0.5 * (self.a * self.a + self.b * self.b)
+        """lambda, the mean excitation from the ground state."""
+        return excitation_mean(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -119,11 +129,14 @@ def _valid_rows(p: np.ndarray) -> np.ndarray:
 def _laguerre_column(n: int, lam, m_stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign and log |A(n, m)| (the Laguerre form above) for m = 0 .. m_stop-1.
 
-    A scalar lam gives one column; an array of lam gives one row per entry.
-    Each entry depends only on (n, m, lam), so a shorter column is an exact
-    prefix of a longer one.
+    A scalar lam gives one column, an array one row per entry; DomainError
+    for a negative or non-finite lam.  Each entry depends only on (n, m,
+    lam), so a shorter column is an exact prefix of a longer one.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    bad = lams[~((lams >= 0.0) & (lams < math.inf))]  # NaN fails both
+    if bad.size:
+        raise DomainError(f"excitation mean lambda must be finite and >= 0, got {float(bad[0])!r}")
     rate = lams[:, None]
     m = np.arange(m_stop)
     gap = np.abs(m - n)
@@ -185,15 +198,15 @@ def _checked(n: int, probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def probability_column(n: int, d: DisplacementParams, m_stop: int) -> np.ndarray:
-    """P(n -> m) for m = 0 .. m_stop-1; NumericError if any value is invalid."""
-    return _checked(n, np.exp(2.0 * _laguerre_column(_check_n(n), d.poisson_mean(), m_stop)[1]))
+def probability_column(n: int, lam: float, m_stop: int) -> np.ndarray:
+    """P(n -> m) for m = 0 .. m_stop-1 at lam; NumericError if any value is invalid."""
+    return _checked(n, np.exp(2.0 * _laguerre_column(_check_n(n), lam, m_stop)[1]))
 
 
-def probability_columns(n: int, displacements, m_max: int,
-                        tail_tol: float) -> Iterator[np.ndarray]:
-    """P(n -> m) at each displacement in turn, as far as its row (cut at
-    1 - tail_tol) or m <= m_max needs; NumericError at the first invalid one.
+def probability_columns(n: int, lams, m_max: int, tail_tol: float) -> Iterator[np.ndarray]:
+    """P(n -> m) at each lambda of the 1-D array lams, as far as its row
+    (cut at 1 - tail_tol) or m <= m_max needs; DomainError for a negative or
+    non-finite lambda, NumericError at the first invalid column.
 
     A column is first m_max + ROW_ROOM + 1 entries long, computed a block
     of times at once; one whose row has not ended there is the full
@@ -203,7 +216,7 @@ def probability_columns(n: int, displacements, m_max: int,
     once per block; ``_checked`` words the failure of an invalid row.
     """
     n = _check_n(n)
-    lams = np.array([d.poisson_mean() for d in displacements], dtype=float)
+    lams = np.asarray(lams, dtype=float)
     full = max(COLUMN_ENTRIES, m_max + 1)
     first = min(m_max + ROW_ROOM + 1, full)
     rows = max(1, BLOCK_ENTRIES // full)
@@ -211,10 +224,10 @@ def probability_columns(n: int, displacements, m_max: int,
         probs = np.exp(2.0 * _laguerre_column(n, lams[start:start + rows], first)[1])
         ended = _row_stop(np.cumsum(probs, axis=1), tail_tol) <= first
         valid = _valid_rows(probs)
-        for d, column, done, ok in zip(displacements[start:start + rows], probs,
-                                       ended.tolist(), valid.tolist()):
+        for lam, column, done, ok in zip(lams[start:start + rows].tolist(), probs,
+                                         ended.tolist(), valid.tolist()):
             if not done:
-                yield probability_column(n, d, full)
+                yield probability_column(n, lam, full)
             else:
                 yield column if ok else _checked(n, column)
 

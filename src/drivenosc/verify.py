@@ -344,26 +344,25 @@ def check_amplitude_vs_quadrature(ctx) -> np.ndarray:
 def check_row_unitarity(ctx) -> np.ndarray:
     rng = np.random.default_rng(304)
 
-    def error(n, d):
+    def error(n, lam):
         # the column the transitions command ships, summed to where its row ends
-        column, = transitions.probability_columns(n, [d], ctx.scenario.m_max, 1e-12)
+        column, = transitions.probability_columns(n, [lam], ctx.scenario.m_max, 1e-12)
         row = transitions.probability_row(n, column, 1e-12)
         return float(np.cumsum(column)[row.truncation_m - 1]) - 1.0
 
-    return np.abs([error(n, _displacement(rng, 2.0)) for n in range(6)])
+    return np.abs([error(n, _displacement(rng, 2.0).poisson_mean()) for n in range(6)])
 
 
 def check_ground_row_poisson(ctx) -> np.ndarray:
     rng = np.random.default_rng(305)
 
-    def error(d):
-        lam = d.poisson_mean()
-        got, = transitions.probability_columns(0, [d], 15, 1e-12)  # covers m <= 15
+    def error(lam):
+        got, = transitions.probability_columns(0, [lam], 15, 1e-12)  # covers m <= 15
         ref = [math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam > 0 else float(m == 0)
                for m in range(16)]
         return got[:16] - ref
 
-    return np.abs([error(_displacement(rng, 2.0)) for _ in range(6)])
+    return np.abs([error(_displacement(rng, 2.0).poisson_mean()) for _ in range(6)])
 
 
 def check_amplitude_symmetry(ctx) -> np.ndarray:

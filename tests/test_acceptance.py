@@ -228,7 +228,8 @@ def test_08_row_unitarity():
     for frame in frames:
         for n in range(6):
             t = float(rng.uniform(0.3, 2.4))
-            column = probability_column(n, DisplacementParams.from_frame(frame, t), 501)
+            column = probability_column(n, DisplacementParams.from_frame(frame, t).poisson_mean(),
+                                        501)
             row = probability_row(n, column, tail_tol=1e-10)
             worst = max(worst, abs(sum(row.probabilities) - 1.0))
     report(8, "transition-row unitarity (n <= 5)", worst, 1e-8)

@@ -341,7 +341,8 @@ class TestTransitionsCommand:
         for row in rows:
             cut = len(row["probabilities"])
             assert cut < 41
-            column = probability_column(2, DisplacementParams.from_frame(frame, row["t"]), 41)
+            lam = DisplacementParams.from_frame(frame, row["t"]).poisson_mean()
+            column = probability_column(2, lam, 41)
             at_t = csv_rows[csv_rows[:, 0] == row["t"]]
             np.testing.assert_array_equal(at_t[:, 2], np.arange(41))
             assert at_t[:cut, 3].tolist() == row["probabilities"]
@@ -358,10 +359,10 @@ class TestTransitionsCommand:
         times = np.linspace(0.0, loaded.t_max, loaded.samples)
         x_nh, xdot_nh, _ = build_frame(loaded.params, loaded.forcing, loaded.t_max).values(times)
         lines, rows = ["t,n,m,P,lambda"], []
-        for t, d in zip(times.tolist(), DisplacementParams.series(loaded.params, x_nh, xdot_nh)):
-            column = probability_column(20, d, 501)
+        lams = transitions.excitation_mean(*transitions.displacements(loaded.params, x_nh, xdot_nh))
+        for t, lam in zip(times.tolist(), lams.tolist()):
+            column = probability_column(20, lam, 501)
             row = probability_row(20, column, 1e-12)
-            lam = d.poisson_mean()
             lines += ["%.17g,%.17g,%.17g,%.17g,%.17g" % (t, 20, m, p, lam)
                       for m, p in enumerate(column[:max(row.truncation_m, 11)].tolist())]
             rows.append({"n": 20, "t": t, "lambda": lam, "probabilities": list(row.probabilities),
@@ -392,7 +393,7 @@ class TestTransitionsCommand:
         for name in ("transitions.csv", "transition_rows.json"):
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
         with pytest.raises(NumericError):
-            probability_column(2, DisplacementParams(1.0, 0.5), 501)
+            probability_column(2, DisplacementParams(1.0, 0.5).poisson_mean(), 501)
 
     def test_row_past_m_500_below_m_max_is_a_numeric_failure(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, forcing={"type": "constant", "K": 5.0},
@@ -475,6 +476,7 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("command, samples, bound_mib", [
         ("transitions", 20_000, 10),
         ("classical", 100_000, 16),
+        ("survival", 100_000, 12),
     ])
     def test_peak_is_bounded(self, tmp_path, command, samples, bound_mib):
         scn = write_scenario(tmp_path, forcing={"type": "sinusoid", "A": 1.0, "Omega": 1.3,
@@ -623,6 +625,28 @@ class TestOverflowingMean:
         assert lines[0].startswith(f"{scn}: numerical failure: excitation mean lambda = "
                                    "(a^2 + b^2)/2 overflows at t=0.5, (a, b) = (7.49")
         assert [p.name for p in tmp_path.iterdir()] == ["scn.json"]
+
+
+class TestOverflowingScale:
+    @pytest.mark.parametrize("command", ["transitions", "survival"])
+    def test_overflowing_mass_over_omega_is_no_failure(self, tmp_path, command):
+        # m / omega = 1e310 overflows, sqrt(m / omega) = 1e155 does not, and
+        # at t = 0 xdot_nh = 0: b must be 0, not 0 * inf = nan
+        scn = write_scenario(tmp_path, params={"m": 1e300, "omega": 1e-10},
+                             forcing={"type": "sinusoid", "A": 1.0, "Omega": 1.3, "phi": 0.2},
+                             time={"t_max": 3.0, "samples": 5})
+        proc = run_cli(command, "--scenario", str(scn), "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        header, rows = read_csv(tmp_path / f"{command}.csv")
+        assert np.unique(rows[:, 0]).size == 5
+        lams = rows[:, header.index("lambda")]
+        assert np.all((0.0 <= lams) & (lams < 1e-280))
+        if command == "survival":
+            assert rows[:, 2].tolist() == [1.0] * 5
+        else:  # the ground state stays put: P(0 -> 0) = exp(-lambda) = 1
+            rows_json = json.loads((tmp_path / "transition_rows.json").read_text())
+            assert [r["probabilities"][0] for r in rows_json] == [1.0] * 5
 
 
 class TestSurvivalCommand:

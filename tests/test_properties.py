@@ -8,18 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivenosc import DisplacementParams, NumericError, probability_column, probability_row
+from drivenosc import NumericError, probability_column, probability_row
 
 
 @settings(max_examples=60, deadline=timedelta(seconds=2), database=None)
 @given(n=st.integers(0, 300),
-       lam=st.floats(0.0, 50.0),
-       angle=st.floats(0.0, 2.0 * math.pi))
-def test_row_is_a_probability_distribution(n, lam, angle):
-    r = math.sqrt(2.0 * lam)
-    d = DisplacementParams(r * math.cos(angle), r * math.sin(angle))
+       lam=st.floats(0.0, 50.0))
+def test_row_is_a_probability_distribution(n, lam):
     # the row's mass lies below (sqrt(n) + sqrt(lam))^2 plus a few widths
-    probs = probability_column(n, d, 2 * n + 200)
+    probs = probability_column(n, lam, 2 * n + 200)
     assert np.all(np.isfinite(probs))
     assert np.all((probs >= 0.0) & (probs <= 1.0))
     assert abs(probs.sum() - 1.0) < 1e-10
@@ -28,12 +25,9 @@ def test_row_is_a_probability_distribution(n, lam, angle):
 @settings(max_examples=60, deadline=timedelta(seconds=2), database=None)
 @given(n=st.integers(0, 60),
        lam=st.floats(0.0, 40.0),
-       angle=st.floats(0.0, 2.0 * math.pi),
        tail_tol=st.floats(1e-12, 1e-3))
-def test_row_is_the_shortest_prefix_holding_the_mass(n, lam, angle, tail_tol):
-    r = math.sqrt(2.0 * lam)
-    column = probability_column(n, DisplacementParams(r * math.cos(angle), r * math.sin(angle)),
-                                501)
+def test_row_is_the_shortest_prefix_holding_the_mass(n, lam, tail_tol):
+    column = probability_column(n, lam, 501)
     row = probability_row(n, column, tail_tol)
     probs = list(row.probabilities)
     assert row.truncation_m == len(probs)

@@ -4,12 +4,16 @@ Every name ``drivenosc`` exports, and every public method or property
 of an exported class, must be used by some module of the package besides
 ``__init__.py``: a name only tests reach is not part of the library.  The
 exceptions are the closed forms kept as references for tests to compare
-the general routes against, and the one method the README shows.
+the general routes against, and the one method the README shows.  The
+README's library example runs as written.
 """
 
 import ast
 import inspect
+import math
 from pathlib import Path
+
+import pytest
 
 import drivenosc
 
@@ -86,3 +90,15 @@ def test_every_public_method_of_an_export_is_used_by_the_package():
                     for attr in _public_methods(cls) if attr not in referenced)
     assert unused == sorted(README_METHODS), \
         f"public methods used only from outside the package: {unused}"
+
+
+def test_readme_library_example_runs():
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library example"):]
+    code = section[section.index("```python\n") + len("```python\n"):section.index("\n```\n")]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["lam"] == pytest.approx(2.0, abs=1e-12)
+    assert namespace["row"].probabilities[0] == pytest.approx(math.exp(-2.0), abs=1e-12)
+    lams = namespace["lams"]
+    assert lams.shape == (101,) and lams[0] == 0.0 and lams[-1] == namespace["lam"]

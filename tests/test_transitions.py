@@ -36,7 +36,7 @@ def survival(frame, t):
 
 def row_at(n, frame, t, tail_tol):
     """probability_row cut from the 501-entry column at the frame's time t."""
-    column = probability_column(n, DisplacementParams.from_frame(frame, t), 501)
+    column = probability_column(n, DisplacementParams.from_frame(frame, t).poisson_mean(), 501)
     return probability_row(n, column, tail_tol)
 
 
@@ -63,6 +63,21 @@ class TestDisplacementParams:
         fr = build_frame(params, ConstantForcing(1.0), 1.0)
         with pytest.raises(DomainError):
             DisplacementParams.from_frame(fr, 0.5)
+
+    def test_scales_are_roots_taken_apart_by_powers_of_two(self):
+        # bit-equal to math.sqrt where the product or quotient is a normal
+        # float, and finite where only that intermediate overflows
+        rng = np.random.default_rng(12)
+        for m, w in np.exp(rng.uniform(-700.0, 700.0, (20_000, 2))).tolist():
+            for power, q in ((1, m * w), (-1, m / w)):
+                if 2.2250738585072014e-308 <= q < math.inf:
+                    assert transitions._root(m, w, power) == math.sqrt(q)
+        assert transitions._root(1e300, 1e-10, -1) == pytest.approx(1e155, rel=1e-15)
+        assert transitions._root(1e-300, 1e-10, 1) == pytest.approx(1e-155, rel=1e-15)
+        a, b = transitions.displacements(OscillatorParams(1e300, 1e-10), np.array([1e-300, 0.0]),
+                                         np.array([0.0, 1e-300]))
+        assert a.tolist() == [pytest.approx(1e-155, rel=1e-15), 0.0]
+        assert b.tolist() == [0.0, pytest.approx(1e-145, rel=1e-15)]
 
     def test_finite_required(self):
         with pytest.raises(DomainError):
@@ -293,7 +308,7 @@ class TestHighQuantumNumbers:
             for lam in (1e-6, 0.5, 3.0, 8.0, 20.0, 50.0):
                 d = displacement(lam, float(rng.uniform(0.0, 2.0 * math.pi)))
                 m_stop = 2 * n + 200
-                probs = probability_column(n, d, m_stop)
+                probs = probability_column(n, d.poisson_mean(), m_stop)
                 ref = laguerre_probabilities(n, np.arange(m_stop), d.poisson_mean())
                 assert np.max(np.abs(probs - ref)) < 1e-12
                 assert abs(probs.sum() - 1.0) < 1e-10
@@ -349,16 +364,19 @@ class TestHighQuantumNumbers:
 
     def test_n_2000_is_finite_or_numeric_error(self, const_frame_pi):
         for lam in (0.01, 20.0, 2000.0):
-            probs = probability_column(2000, displacement(lam, 0.3), 2600)
+            probs = probability_column(2000, displacement(lam, 0.3).poisson_mean(), 2600)
             assert np.all(np.isfinite(probs))
         with pytest.raises(NumericError) as exc:
             row_at(2000, const_frame_pi, 2.0, tail_tol=1e-9)
         assert np.all(np.isfinite(exc.value.partial))
 
-    def test_unrepresentable_mean_is_numeric_error(self):
-        # lambda overflows to inf: no finite row exists
-        with pytest.raises(NumericError), np.errstate(invalid="ignore"):
-            probability_column(0, DisplacementParams(1e200, 0.0), 8)
+    # negative, NaN, and the inf of a mean that overflows: no row exists
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, transitions.excitation_mean(1e200, 0.0)])
+    def test_mean_outside_its_domain_is_a_domain_error(self, lam):
+        with pytest.raises(DomainError, match="lambda must be finite and >= 0"):
+            probability_column(0, lam, 8)
+        with pytest.raises(DomainError, match=f"got {lam!r}"):
+            list(transitions.probability_columns(0, [0.5, lam, 2.0], 16, 1e-9))
 
     def test_row_rejects_nan(self):
         with pytest.raises(DomainError):
@@ -403,11 +421,11 @@ class TestBlockValidity:
         # still fails nothing
         n, m_max = 2, 16
         first = m_max + transitions.ROW_ROOM + 1
-        ds = [displacement(lam, 0.3) for lam in (0.5, 1.0, 1.5)]
-        clean = list(transitions.probability_columns(n, ds, m_max, 1e-9))
+        lams = np.array([displacement(lam, 0.3).poisson_mean() for lam in (0.5, 1.0, 1.5)])
+        clean = list(transitions.probability_columns(n, lams, m_max, 1e-9))
         assert [len(c) for c in clean] == [first] * 3
 
-        bad_lam = ds[1].poisson_mean()
+        bad_lam = lams[1]
 
         def faulty(n_, lam, m_stop):
             sign, log_mag = _laguerre_column(n_, lam, m_stop)
@@ -424,18 +442,17 @@ class TestBlockValidity:
             return sign, log_mag
 
         monkeypatch.setattr(transitions, "_laguerre_column", faulty)
-        columns = transitions.probability_columns(n, ds, m_max, 1e-9)
+        columns = transitions.probability_columns(n, lams, m_max, 1e-9)
         assert next(columns).tolist() == clean[0].tolist()
         with pytest.raises(NumericError) as exc:
             next(columns)
         assert str(exc.value) == "transition row from n=2 is not finite or not in [0, 1]"
-        lams = np.array([d.poisson_mean() for d in ds])
         expected = np.exp(2.0 * faulty(n, lams, first)[1][1])
         assert len(exc.value.partial) == first
         assert not _valid_row(expected)
         assert isinstance(exc.value.partial, tuple)
         np.testing.assert_array_equal(np.array(exc.value.partial), expected)
-        assert list(transitions.probability_columns(n, ds[::2], m_max, 1e-9))[1].tolist() == \
+        assert list(transitions.probability_columns(n, lams[::2], m_max, 1e-9))[1].tolist() == \
             clean[2].tolist()
         with pytest.raises(NumericError):
-            probability_column(n, ds[0], 501)
+            probability_column(n, lams[0], 501)
