@@ -49,7 +49,6 @@ from .schrodinger import (
     overlap,
 )
 from .transitions import (
-    DisplacementParams,
     TransitionRow,
     overlap_amplitude,
     overlap_by_quadrature,
@@ -63,7 +62,6 @@ __all__ = [
     "BoundaryError",
     "CanonicalFrame",
     "ConstantForcing",
-    "DisplacementParams",
     "DomainError",
     "ForcingSpec",
     "GridSpec",

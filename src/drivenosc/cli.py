@@ -80,27 +80,23 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
     """The header, then the rows of each block, every value as %.17g,
     formatted CSV_CHUNK_ROWS rows at a time.
 
-    A block holds one entry per column: a list or a 1-D ndarray (that
-    column's value on each row; at least one column is one of these or a
-    range), a range (an index column, written as %d: the same text as
-    %.17g for any int below 2**53, far more rows than a block can hold)
-    or a scalar (the same value on every row of the block, formatted once).
+    A block holds one entry per column: a 1-D ndarray (that column's value
+    on each row; at least one column is one) or a scalar (the same value
+    on every row of the block, formatted once).
     """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            arrays = [c for c in block if isinstance(c, (list, range, np.ndarray))]
-            line = ",".join("%d" if isinstance(c, range)
-                            else "%.17g" if isinstance(c, (list, np.ndarray))
-                            else "%.17g" % c for c in block) + "\n"
+            arrays = [c for c in block if isinstance(c, np.ndarray)]
+            line = ",".join("%.17g" if isinstance(c, np.ndarray) else "%.17g" % c
+                            for c in block) + "\n"
             rows = len(arrays[0])
             for start in range(0, rows, CSV_CHUNK_ROWS):
                 chunk = [c[start:start + CSV_CHUNK_ROWS] for c in arrays]
                 count = len(chunk[0])
                 values = [None] * (count * len(chunk))
                 for j, column in enumerate(chunk):
-                    values[j::len(chunk)] = \
-                        column.tolist() if isinstance(column, np.ndarray) else column
+                    values[j::len(chunk)] = column.tolist()
                 fh.write(line * count % tuple(values))
 
 
@@ -169,8 +165,8 @@ def cmd_transitions(scn: Scenario, out_dir: Path) -> list[Path]:
                 row = transitions.probability_row(n, column, scn.tail_tol)
                 fh.write((",\n" if i else "")
                          + _row_json(t, n, lam, row.probabilities, row.tail_bound))
-                probs = column[:max(row.truncation_m, scn.m_max + 1)].tolist()  # row or m <= m_max
-                yield t, n, range(len(probs)), probs, lam
+                probs = column[:max(row.truncation_m, scn.m_max + 1)]  # row or m <= m_max
+                yield t, n, np.arange(probs.size), probs, lam
             fh.write("\n]\n")
 
         _write_csv(csv_temp, ["t", "n", "m", "P", "lambda"], blocks())
@@ -210,7 +206,8 @@ def cmd_evolve_pde(scn: Scenario, out_dir: Path) -> list[Path]:
     with _Staged(log_path, state_path) as (log_temp, state_temp):
         _write_csv(log_temp, ["t", "norm", "energy", "overlap_ground"], [(times, *log.T)])
         _write_csv(state_temp, ["x", "re", "im", "abs2"],
-                   [(grid.x, values.real, values.imag, [abs(v) ** 2 for v in values])])
+                   [(grid.x, values.real, values.imag,
+                     np.fromiter((abs(v) ** 2 for v in values), float, values.size))])
     return [log_path, state_path]
 
 

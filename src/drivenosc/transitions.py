@@ -23,7 +23,8 @@ lambda = |beta|^2, lo = min(n, m) and hi = max(n, m) it is evaluated as
 for a whole column m = 0 .. M-1 at once, and for a block of times (one
 lambda each) at once.  Each entry depends only on (n, m, lambda), so a
 shorter column is a bit-exact prefix of a longer one, and probabilities
-take lambda alone (``excitation_mean`` of the ``displacements`` a, b).
+take lambda alone (``excitation_mean`` of the ``displacements`` a, b),
+while the amplitude pair, whose phase needs both, takes (a, b).
 A row is the column's shortest prefix holding 1 - tail_tol;
 ``probability_columns`` computes each time for its row only (the route
 the ``transitions`` command and verify's row checks share).  NOTES.md
@@ -40,7 +41,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .canonical import CanonicalFrame
 from .classical import OscillatorParams
 from .errors import DomainError, NumericError
 from .hermite import _check_n, gauss_hermite_rule, hermite_poly
@@ -78,25 +78,14 @@ def excitation_mean(a, b):
     return 0.5 * (a * a + b * b)
 
 
-@dataclass(frozen=True)
-class DisplacementParams:
-    """Dimensionless displacement (a, b) of the response orbit."""
+def _check_displacement(a: float, b: float) -> None:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"displacement must be finite, got ({a!r}, {b!r})")
 
-    a: float
-    b: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise DomainError(f"displacement must be finite, got ({self.a!r}, {self.b!r})")
-
-    @classmethod
-    def from_frame(cls, frame: CanonicalFrame, t: float) -> "DisplacementParams":
-        x, xdot, _ = frame.values(np.array([t], dtype=float))
-        return cls(*(float(v[0]) for v in displacements(frame.params, x, xdot)))
-
-    def poisson_mean(self) -> float:
-        """lambda, the mean excitation from the ground state."""
-        return excitation_mean(self.a, self.b)
+def _check_tail_tol(tail_tol: float) -> None:
+    if not tail_tol > 0.0:  # NaN fails too
+        raise DomainError(f"tail_tol must be positive, got {tail_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -105,12 +94,15 @@ class TransitionRow:
 
     n: int
     probabilities: tuple[float, ...]
-    truncation_m: int
     tail_bound: float
 
     def __post_init__(self):
         if not _valid_row(self.probabilities):
             raise DomainError("transition probabilities must lie in [0, 1] and sum to at most 1")
+
+    @property
+    def truncation_m(self) -> int:
+        return len(self.probabilities)
 
 
 def _valid_row(probs) -> bool:
@@ -130,9 +122,12 @@ def _laguerre_column(n: int, lam, m_stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign and log |A(n, m)| (the Laguerre form above) for m = 0 .. m_stop-1.
 
     A scalar lam gives one column, an array one row per entry; DomainError
-    for a negative or non-finite lam.  Each entry depends only on (n, m,
-    lam), so a shorter column is an exact prefix of a longer one.
+    for a negative m_stop or a negative or non-finite lam.  Each entry
+    depends only on (n, m, lam), so a shorter column is an exact prefix of
+    a longer one.
     """
+    if m_stop < 0:
+        raise DomainError(f"m_stop must be >= 0, got {m_stop!r}")
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     bad = lams[~((lams >= 0.0) & (lams < math.inf))]  # NaN fails both
     if bad.size:
@@ -177,12 +172,13 @@ def _laguerre_column(n: int, lam, m_stop: int) -> tuple[np.ndarray, np.ndarray]:
     return sign, log_mag
 
 
-def overlap_amplitude(n: int, m: int, d: DisplacementParams) -> complex:
-    """Closed-form overlap A(n, m) at displacement d, global phase dropped."""
+def overlap_amplitude(n: int, m: int, a: float, b: float) -> complex:
+    """Closed-form overlap A(n, m) at displacement (a, b), global phase dropped."""
     n, m = _check_n(n), _check_n(m)
-    sign, log_mag = _laguerre_column(n, d.poisson_mean(), m + 1)
-    theta = math.atan2(-d.b, d.a if m >= n else -d.a)  # arg u
-    return complex(sign[m]) * cmath.exp(log_mag[m] + 1j * (0.5 * d.a * d.b + abs(m - n) * theta))
+    _check_displacement(a, b)
+    sign, log_mag = _laguerre_column(n, excitation_mean(a, b), m + 1)
+    theta = math.atan2(-b, a if m >= n else -a)  # arg u
+    return complex(sign[m]) * cmath.exp(log_mag[m] + 1j * (0.5 * a * b + abs(m - n) * theta))
 
 
 def _row_stop(cumulative: np.ndarray, tail_tol: float) -> np.ndarray:
@@ -205,8 +201,9 @@ def probability_column(n: int, lam: float, m_stop: int) -> np.ndarray:
 
 def probability_columns(n: int, lams, m_max: int, tail_tol: float) -> Iterator[np.ndarray]:
     """P(n -> m) at each lambda of the 1-D array lams, as far as its row
-    (cut at 1 - tail_tol) or m <= m_max needs; DomainError for a negative or
-    non-finite lambda, NumericError at the first invalid column.
+    (cut at 1 - tail_tol) or m <= m_max needs; DomainError for a tail_tol
+    that is not positive, a negative m_max or a negative or non-finite
+    lambda, NumericError at the first invalid column.
 
     A column is first m_max + ROW_ROOM + 1 entries long, computed a block
     of times at once; one whose row has not ended there is the full
@@ -216,6 +213,9 @@ def probability_columns(n: int, lams, m_max: int, tail_tol: float) -> Iterator[n
     once per block; ``_checked`` words the failure of an invalid row.
     """
     n = _check_n(n)
+    _check_tail_tol(tail_tol)
+    if m_max < 0:
+        raise DomainError(f"m_max must be >= 0, got {m_max!r}")
     lams = np.asarray(lams, dtype=float)
     full = max(COLUMN_ENTRIES, m_max + 1)
     first = min(m_max + ROW_ROOM + 1, full)
@@ -232,7 +232,7 @@ def probability_columns(n: int, lams, m_max: int, tail_tol: float) -> Iterator[n
                 yield column if ok else _checked(n, column)
 
 
-def overlap_by_quadrature(n: int, m: int, d: DisplacementParams, order: int) -> complex:
+def overlap_by_quadrature(n: int, m: int, a: float, b: float, order: int) -> complex:
     """The overlap integral evaluated directly by Gauss-Hermite quadrature.
 
     Completing the square in e^{-(x+a)^2/2} e^{-x^2/2} centres the weight:
@@ -244,11 +244,12 @@ def overlap_by_quadrature(n: int, m: int, d: DisplacementParams, order: int) -> 
     the pair.
     """
     n, m = _check_n(n), _check_n(m)
+    _check_displacement(a, b)
     nodes, weights = gauss_hermite_rule(order)
-    hm = hermite_poly(m, nodes + 0.5 * d.a)
-    hn = hermite_poly(n, nodes - 0.5 * d.a)
-    acc = complex(np.sum(weights * hm * hn * np.exp(-1j * d.b * nodes)))
-    const = math.exp(-0.25 * d.a**2) * cmath.exp(0.5j * d.a * d.b)
+    hm = hermite_poly(m, nodes + 0.5 * a)
+    hn = hermite_poly(n, nodes - 0.5 * a)
+    acc = complex(np.sum(weights * hm * hn * np.exp(-1j * b * nodes)))
+    const = math.exp(-0.25 * a**2) * cmath.exp(0.5j * a * b)
     norm = math.exp(
         -0.5 * ((n + m) * math.log(2.0) + math.lgamma(n + 1) + math.lgamma(m + 1)
                 + math.log(math.pi))
@@ -259,8 +260,7 @@ def overlap_by_quadrature(n: int, m: int, d: DisplacementParams, order: int) -> 
 def probability_row(n: int, column: np.ndarray, tail_tol: float) -> TransitionRow:
     """Shortest prefix of a P(n -> m) column (m = 0, 1, ...) whose mass
     exceeds 1 - tail_tol; NumericError if the whole column holds less."""
-    if tail_tol <= 0.0:
-        raise DomainError(f"tail_tol must be positive, got {tail_tol!r}")
+    _check_tail_tol(tail_tol)
     n = _check_n(n)
     cumulative = np.cumsum(column)
     stop = int(_row_stop(cumulative, tail_tol))
@@ -269,5 +269,5 @@ def probability_row(n: int, column: np.ndarray, tail_tol: float) -> TransitionRo
                            f"within m <= {len(column) - 1}", partial=tuple(column.tolist()))
     return TransitionRow(
         n=n, probabilities=tuple(column[:stop].tolist()),
-        truncation_m=stop, tail_bound=max(0.0, 1.0 - float(cumulative[stop - 1])),
+        tail_bound=max(0.0, 1.0 - float(cumulative[stop - 1])),
     )

@@ -328,17 +328,18 @@ def check_eigenstate_operator(ctx) -> np.ndarray:
     return np.abs([residual(n) for n in range(9)])
 
 
-def _displacement(rng, half_width: float) -> transitions.DisplacementParams:
-    return transitions.DisplacementParams(float(rng.uniform(-half_width, half_width)),
-                                          float(rng.uniform(-half_width, half_width)))
+def _displacement(rng, half_width: float) -> tuple[float, float]:
+    """A random displacement (a, b), a drawn first."""
+    return float(rng.uniform(-half_width, half_width)), float(rng.uniform(-half_width, half_width))
 
 
 def check_amplitude_vs_quadrature(ctx) -> np.ndarray:
     rng = np.random.default_rng(303)
-    draws = [(int(rng.integers(0, 11)), int(rng.integers(0, 11)), _displacement(rng, 3.0))
+    draws = [(int(rng.integers(0, 11)), int(rng.integers(0, 11)), *_displacement(rng, 3.0))
              for _ in range(120)]
-    return np.abs([transitions.overlap_amplitude(n, m, d)
-                   - transitions.overlap_by_quadrature(n, m, d, order=60) for n, m, d in draws])
+    return np.abs([transitions.overlap_amplitude(n, m, a, b)
+                   - transitions.overlap_by_quadrature(n, m, a, b, order=60)
+                   for n, m, a, b in draws])
 
 
 def check_row_unitarity(ctx) -> np.ndarray:
@@ -350,7 +351,8 @@ def check_row_unitarity(ctx) -> np.ndarray:
         row = transitions.probability_row(n, column, 1e-12)
         return float(np.cumsum(column)[row.truncation_m - 1]) - 1.0
 
-    return np.abs([error(n, _displacement(rng, 2.0).poisson_mean()) for n in range(6)])
+    return np.abs([error(n, transitions.excitation_mean(*_displacement(rng, 2.0)))
+                   for n in range(6)])
 
 
 def check_ground_row_poisson(ctx) -> np.ndarray:
@@ -362,15 +364,16 @@ def check_ground_row_poisson(ctx) -> np.ndarray:
                for m in range(16)]
         return got[:16] - ref
 
-    return np.abs([error(_displacement(rng, 2.0).poisson_mean()) for _ in range(6)])
+    return np.abs([error(transitions.excitation_mean(*_displacement(rng, 2.0)))
+                   for _ in range(6)])
 
 
 def check_amplitude_symmetry(ctx) -> np.ndarray:
-    """|A(n, m)| against |A(m, n)| at 150 random (n, m, d), read from one
+    """|A(n, m)| against |A(m, n)| at 150 random (n, m, lambda), read from one
     column block per n over every drawn lambda."""
     rng = np.random.default_rng(306)
-    draws = [(rng.integers(0, 12), rng.integers(0, 12), _displacement(rng, 3.0).poisson_mean())
-             for _ in range(150)]
+    draws = [(rng.integers(0, 12), rng.integers(0, 12),
+              transitions.excitation_mean(*_displacement(rng, 3.0))) for _ in range(150)]
     ns, ms, lams = (np.array(v) for v in zip(*draws))
     log_mag = np.array([transitions._laguerre_column(n, lams, 12)[1] for n in range(12)])
     draw = np.arange(150)

@@ -19,7 +19,6 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from drivenosc import (
     ConstantForcing,
-    DisplacementParams,
     DomainError,
     NumericError,
     OscillatorParams,
@@ -341,7 +340,8 @@ class TestTransitionsCommand:
         for row in rows:
             cut = len(row["probabilities"])
             assert cut < 41
-            lam = DisplacementParams.from_frame(frame, row["t"]).poisson_mean()
+            lam = transitions.excitation_mean(
+                *transitions.displacements(loaded.params, *frame.values(row["t"])[:2]))
             column = probability_column(2, lam, 41)
             at_t = csv_rows[csv_rows[:, 0] == row["t"]]
             np.testing.assert_array_equal(at_t[:, 2], np.arange(41))
@@ -393,7 +393,7 @@ class TestTransitionsCommand:
         for name in ("transitions.csv", "transition_rows.json"):
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
         with pytest.raises(NumericError):
-            probability_column(2, DisplacementParams(1.0, 0.5).poisson_mean(), 501)
+            probability_column(2, transitions.excitation_mean(1.0, 0.5), 501)
 
     def test_row_past_m_500_below_m_max_is_a_numeric_failure(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, forcing={"type": "constant", "K": 5.0},
@@ -493,27 +493,33 @@ class TestBoundedMemory:
         assert peak < bound_mib * 2**20
 
 
+def per_value_lines(header, blocks):
+    """The CSV lines of blocks of 1-D ndarray and scalar columns, each value
+    of each array's list formatted on its own as %.17g."""
+    lines = [",".join(header)]
+    for block in blocks:
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+        rows = len(next(c for c in columns if isinstance(c, list)))
+        lines += [",".join("%.17g" % (c[i] if isinstance(c, list) else c) for c in columns)
+                  for i in range(rows)]
+    return lines
+
+
 class TestWriteCsv:
     def test_blocks_equal_formatting_each_value(self, tmp_path):
         rng = np.random.default_rng(7)
-        long = rng.standard_normal(5000).tolist()
+        long = rng.standard_normal(5000)
         blocks = [
-            (0.25, 3, [0, 1, 2, 3], [0.1, -0.0, 1e-300, 2.0 / 3.0], -0.0),
-            (-0.0, 7, list(range(len(long))), long, math.pi),
-            ([1.5, -0.0], 0, [2, 3], 2.0, [4e-17, 5]),
-            (1.5, 0, [], [], 2.0),  # no rows
-            (2.5, 40, range(3), [0.25, 0.5, 0.125], 2.0),  # an index column
-            (2.5, 40, range(0), [], 2.0),
-            (-1.0, 9, range(2**53 - 10, 2**53), [0.5] * 10, 3.0),
+            (0.25, 3, np.arange(4), np.array([0.1, -0.0, 1e-300, 2.0 / 3.0]), -0.0),
+            (-0.0, 7, np.arange(long.size), long, math.pi),
+            (np.array([1.5, -0.0]), 0, np.array([2, 3]), 2.0, np.array([4e-17, 5])),
+            (1.5, 0, np.arange(0), np.array([]), 2.0),  # no rows
+            (2.5, 40, np.arange(3), np.array([0.25, 0.5, 0.125]), 2.0),  # an index column
+            (-1.0, 9, np.arange(2**53 - 10, 2**53), np.full(10, 0.5), 3.0),
         ]
         path = tmp_path / "out.csv"
         cli._write_csv(path, ["a", "b", "c", "d", "e"], blocks)
-        expected = ["a,b,c,d,e"]
-        for block in blocks:
-            lists = [c for c in block if isinstance(c, (list, range))]
-            for i in range(len(lists[0])):
-                expected.append(",".join("%.17g" % (c[i] if isinstance(c, (list, range)) else c)
-                                         for c in block))
+        expected = per_value_lines(["a", "b", "c", "d", "e"], blocks)
         assert expected[1:3] == ["0.25,3,0,0.10000000000000001,-0", "0.25,3,1,-0,-0"]
         assert expected[5005:5007] == ["1.5,0,2,2,4.0000000000000003e-17", "-0,0,3,2,5"]
         assert expected[5007:5010] == ["2.5,40,0,0.25,2", "2.5,40,1,0.5,2", "2.5,40,2,0.125,2"]
@@ -522,7 +528,8 @@ class TestWriteCsv:
 
     def test_ndarray_columns_and_chunk_edges_write_the_list_bytes(self, tmp_path):
         # ndarray columns (contiguous, strided and 2-D transposed views), and
-        # blocks that end at, just past and well past a chunk edge
+        # blocks that end at, just past and well past a chunk edge, give the
+        # bytes of their lists formatted one value at a time
         rng = np.random.default_rng(23)
         edge = cli.CSV_CHUNK_ROWS
         z = rng.standard_normal((edge + 3, 2)) * np.logspace(-300, 300, edge + 3)[:, None]
@@ -531,19 +538,15 @@ class TestWriteCsv:
         values = rng.standard_normal(2 * edge + 5) + 1j * rng.standard_normal(2 * edge + 5)
         arrays = [
             (t, *z.T, 1.5),
-            (0.25, range(edge), rng.random(edge), np.arange(edge, dtype=float)),
-            (values.real, -0.0, range(2 * edge + 5), values.imag),
-            (np.array([5e-324, 1e308]), 2.0, range(2), [0.1, 0.2]),
-            (np.array([]), 1.0, range(0), []),
+            (0.25, np.arange(edge), rng.random(edge), np.arange(edge, dtype=float)),
+            (values.real, -0.0, np.arange(2 * edge + 5), values.imag),
+            (np.array([5e-324, 1e308]), 2.0, np.arange(2), np.array([0.1, 0.2])),
+            (np.array([]), 1.0, np.arange(0), np.array([])),
         ]
-        lists = [tuple(c.tolist() if isinstance(c, np.ndarray) else c for c in block)
-                 for block in arrays]
-        written = []
-        for name, blocks in (("arrays.csv", arrays), ("lists.csv", lists)):
-            cli._write_csv(tmp_path / name, ["a", "b", "c", "d"], blocks)
-            written.append((tmp_path / name).read_bytes())
-        assert written[0] == written[1]
-        lines = written[0].decode().splitlines()
+        cli._write_csv(tmp_path / "arrays.csv", ["a", "b", "c", "d"], arrays)
+        written = (tmp_path / "arrays.csv").read_text()
+        assert written == "\n".join(per_value_lines(["a", "b", "c", "d"], arrays)) + "\n"
+        lines = written.splitlines()
         assert len(lines) == 1 + (edge + 3) + edge + (2 * edge + 5) + 2
         for i in (0, edge - 1, edge, edge + 2):  # lines[0] is the header
             assert lines[i + 1] == "%.17g,%.17g,%.17g,1.5" % (t[i], *z[i])
@@ -674,7 +677,8 @@ class TestSurvivalCommand:
         frame = build_frame(OscillatorParams(1.0, 1.0), ConstantForcing(1.0),
                             math.pi)
         for t, lam, surv in rows[::4]:
-            lib = math.exp(-DisplacementParams.from_frame(frame, t).poisson_mean())
+            a, b = transitions.displacements(frame.params, *frame.values(t)[:2])
+            lib = math.exp(-transitions.excitation_mean(a, b))
             assert surv == pytest.approx(lib, abs=1e-12)
             assert surv == pytest.approx(math.exp(-lam), abs=1e-12)
 

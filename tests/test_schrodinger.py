@@ -6,7 +6,6 @@ import pytest
 from drivenosc import (
     BoundaryError,
     ConstantForcing,
-    DisplacementParams,
     DomainError,
     GridSpec,
     NumericError,
@@ -32,6 +31,7 @@ from drivenosc import (
 from drivenosc.canonical import build_frame
 from drivenosc.classical import PhaseState
 from drivenosc.schrodinger import kinetic_expectation
+from drivenosc.transitions import displacements
 from drivenosc.verify import _eigenmodes, _mix_modes
 
 
@@ -208,10 +208,10 @@ class TestEvolution:
     def test_cross_module_transition_probabilities(self, params11, default_grid, const_frame_pi):
         psi1 = eigenstate_wavefunction(params11, 1, default_grid)
         out = evolve_lab(params11, ConstantForcing(1.0), psi1, 2.0)
-        d = DisplacementParams.from_frame(const_frame_pi, 2.0)
+        a, b = displacements(params11, *const_frame_pi.values(2.0)[:2])
         for m in (0, 1, 2, 3):
             pde = abs(overlap(eigenstate_wavefunction(params11, m, default_grid), out)) ** 2
-            closed = abs(overlap_amplitude(1, m, d)) ** 2
+            closed = abs(overlap_amplitude(1, m, a, b)) ** 2
             assert abs(pde - closed) < 1e-4
 
     def test_unnormalized_initial_state_rejected(self, params11, default_grid):

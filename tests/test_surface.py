@@ -4,8 +4,8 @@ Every name ``drivenosc`` exports, and every public method or property
 of an exported class, must be used by some module of the package besides
 ``__init__.py``: a name only tests reach is not part of the library.  The
 exceptions are the closed forms kept as references for tests to compare
-the general routes against, and the one method the README shows.  The
-README's library example runs as written.
+the general routes against.  The README's library example runs as
+written.
 """
 
 import ast
@@ -24,8 +24,6 @@ REFERENCE_IMPLEMENTATIONS = (
     "generating_function_partial",
     "laboratory_ellipse",
 )
-
-README_METHODS = ("DisplacementParams.from_frame",)
 
 
 def _defined(stmt) -> set[str]:
@@ -88,7 +86,7 @@ def test_every_public_method_of_an_export_is_used_by_the_package():
                if inspect.isclass(cls)]
     unused = sorted(f"{cls.__name__}.{attr}" for cls in classes
                     for attr in _public_methods(cls) if attr not in referenced)
-    assert unused == sorted(README_METHODS), \
+    assert unused == [], \
         f"public methods used only from outside the package: {unused}"
 
 

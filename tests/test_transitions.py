@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -7,7 +8,6 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from drivenosc import (
     ConstantForcing,
-    DisplacementParams,
     DomainError,
     NumericError,
     OscillatorParams,
@@ -29,40 +29,54 @@ def poisson(lam, m):
     return math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1))
 
 
+def displacement_at(frame, t):
+    """(a, b) at the frame's time t, from one float frame read."""
+    return transitions.displacements(frame.params, *frame.values(t)[:2])
+
+
+def lam_at(frame, t):
+    """lambda at the frame's time t."""
+    return transitions.excitation_mean(*displacement_at(frame, t))
+
+
 def survival(frame, t):
     """P(0 -> 0) at the frame's time t: exp(-lambda)."""
-    return math.exp(-DisplacementParams.from_frame(frame, t).poisson_mean())
+    return math.exp(-lam_at(frame, t))
 
 
 def row_at(n, frame, t, tail_tol):
     """probability_row cut from the 501-entry column at the frame's time t."""
-    column = probability_column(n, DisplacementParams.from_frame(frame, t).poisson_mean(), 501)
-    return probability_row(n, column, tail_tol)
+    return probability_row(n, probability_column(n, lam_at(frame, t), 501), tail_tol)
 
 
-def laguerre_magnitude(n, m, d):
+def laguerre_magnitude(n, m, a, b):
     """Displaced-state overlap magnitude from the associated-Laguerre
     closed form; an independent cross-check of the coefficient sum."""
-    lam = d.poisson_mean()
+    lam = transitions.excitation_mean(a, b)
     lo, hi = min(n, m), max(n, m)
     return math.exp(-lam / 2) * math.sqrt(math.factorial(lo) / math.factorial(hi)) \
         * lam ** ((hi - lo) / 2) * abs(eval_genlaguerre(lo, hi - lo, lam))
 
 
 class TestDisplacementParams:
+    """The displacement (a, b) of a frame read, and its finiteness check."""
+
     def test_from_frame_scaling(self):
         params = OscillatorParams(2.0, 3.0)
         fr = build_frame(params, ConstantForcing(1.0), 2.0)
         t = 1.2
-        d = DisplacementParams.from_frame(fr, t)
-        assert d.a == pytest.approx(math.sqrt(6.0) * fr.x_nh(t), abs=1e-12)
-        assert d.b == pytest.approx(fr.xdot_nh(t) * math.sqrt(2.0 / 3.0), abs=1e-12)
+        a, b = displacement_at(fr, t)
+        assert a == pytest.approx(math.sqrt(6.0) * fr.x_nh(t), abs=1e-12)
+        assert b == pytest.approx(fr.xdot_nh(t) * math.sqrt(2.0 / 3.0), abs=1e-12)
+        # the float read is the 1-D array read, bit for bit
+        arrays = transitions.displacements(params, *fr.values(np.array([t]))[:2])
+        assert [a, b] == [float(v[0]) for v in arrays]
 
     def test_needs_confining_well(self):
         params = OscillatorParams(1.0, 0.0)
         fr = build_frame(params, ConstantForcing(1.0), 1.0)
         with pytest.raises(DomainError):
-            DisplacementParams.from_frame(fr, 0.5)
+            displacement_at(fr, 0.5)
 
     def test_scales_are_roots_taken_apart_by_powers_of_two(self):
         # bit-equal to math.sqrt where the product or quotient is a normal
@@ -80,56 +94,57 @@ class TestDisplacementParams:
         assert b.tolist() == [0.0, pytest.approx(1e-145, rel=1e-15)]
 
     def test_finite_required(self):
-        with pytest.raises(DomainError):
-            DisplacementParams(math.nan, 0.0)
+        for a, b in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+            with pytest.raises(DomainError, match=r"displacement must be finite, got \("):
+                overlap_amplitude(0, 1, a, b)
+            with pytest.raises(DomainError, match=r"displacement must be finite, got \("):
+                overlap_by_quadrature(0, 1, a, b, order=20)
 
 
 class TestOverlapAmplitude:
     def test_zero_displacement_is_exact_identity(self):
-        d0 = DisplacementParams(0.0, 0.0)
         for n in range(6):
-            assert overlap_amplitude(n, n, d0) == 1.0 + 0.0j
+            assert overlap_amplitude(n, n, 0.0, 0.0) == 1.0 + 0.0j
             for m in range(6):
                 if m != n:
-                    assert overlap_amplitude(n, m, d0) == 0.0 + 0.0j
+                    assert overlap_amplitude(n, m, 0.0, 0.0) == 0.0 + 0.0j
 
     def test_single_quantum_magnitude(self):
         # quadrature oracle gives e^{-1/4}/sqrt(2) ~ 0.55066 at a=1, b=0
-        d = DisplacementParams(1.0, 0.0)
         ref = math.exp(-0.25) / math.sqrt(2.0)
-        assert abs(overlap_amplitude(0, 1, d)) == pytest.approx(ref, abs=1e-12)
-        assert abs(overlap_amplitude(1, 0, d)) == pytest.approx(ref, abs=1e-12)
+        assert abs(overlap_amplitude(0, 1, 1.0, 0.0)) == pytest.approx(ref, abs=1e-12)
+        assert abs(overlap_amplitude(1, 0, 1.0, 0.0)) == pytest.approx(ref, abs=1e-12)
 
     def test_matches_quadrature_oracle(self):
         rng = np.random.default_rng(30)
         for _ in range(150):
             n, m = int(rng.integers(0, 11)), int(rng.integers(0, 11))
-            d = DisplacementParams(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-            closed = overlap_amplitude(n, m, d)
-            oracle = overlap_by_quadrature(n, m, d, order=60)
+            a, b = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
+            closed = overlap_amplitude(n, m, a, b)
+            oracle = overlap_by_quadrature(n, m, a, b, order=60)
             assert abs(closed - oracle) < 1e-10
 
     def test_detailed_balance_symmetry(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             n, m = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-            d = DisplacementParams(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-            assert abs(abs(overlap_amplitude(n, m, d)) - abs(overlap_amplitude(m, n, d))) < 1e-12
+            a, b = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
+            assert abs(abs(overlap_amplitude(n, m, a, b))
+                       - abs(overlap_amplitude(m, n, a, b))) < 1e-12
 
     def test_block_log_magnitude_equals_the_pair_form(self):
         # one column block per n over many lambdas holds, bit for bit, the
         # entry overlap_amplitude reads for each pair, m < n and m > n alike,
         # and the exact delta_nm of the still branch at lambda = 0
         rng = np.random.default_rng(33)
-        ds = [DisplacementParams(0.0, 0.0)] + [DisplacementParams(a, b) for a, b in
-                                               rng.uniform(-3, 3, (40, 2)).tolist()]
-        lams = np.array([d.poisson_mean() for d in ds])
+        ds = [(0.0, 0.0)] + [(a, b) for a, b in rng.uniform(-3, 3, (40, 2)).tolist()]
+        lams = np.array([transitions.excitation_mean(a, b) for a, b in ds])
         for n in range(12):
             _, block = _laguerre_column(n, lams, 12)
             for m in range(12):
                 pairs = np.array([_laguerre_column(n, lam, m + 1)[1][m] for lam in lams.tolist()])
                 assert np.array_equal(block[:, m], pairs)
-                magnitudes = [abs(overlap_amplitude(n, m, d)) for d in ds]
+                magnitudes = [abs(overlap_amplitude(n, m, a, b)) for a, b in ds]
                 np.testing.assert_allclose(np.exp(block[:, m]), magnitudes, rtol=1e-15, atol=0)
 
     def test_symmetry_check_matches_the_pair_form(self):
@@ -139,62 +154,59 @@ class TestOverlapAmplitude:
         worst = 0.0
         for _ in range(150):
             n, m = int(rng.integers(0, 12)), int(rng.integers(0, 12))
-            d = DisplacementParams(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-            worst = max(worst, abs(abs(overlap_amplitude(n, m, d))
-                                   - abs(overlap_amplitude(m, n, d))))
+            a, b = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
+            worst = max(worst, abs(abs(overlap_amplitude(n, m, a, b))
+                                   - abs(overlap_amplitude(m, n, a, b))))
         assert np.max(verify.check_amplitude_symmetry(None)) == worst
 
     def test_log_space_path_continuous_at_threshold(self):
         # n + m = 30 runs the direct path, 31 the log-space path; compare
         # both against the quadrature oracle
-        d = DisplacementParams(1.4, -0.9)
         for n, m in [(15, 15), (16, 15), (15, 16), (20, 14)]:
-            oracle = overlap_by_quadrature(n, m, d, order=80)
-            assert abs(overlap_amplitude(n, m, d) - oracle) < 1e-10
+            oracle = overlap_by_quadrature(n, m, 1.4, -0.9, order=80)
+            assert abs(overlap_amplitude(n, m, 1.4, -0.9) - oracle) < 1e-10
 
     def test_laguerre_cross_check(self):
         rng = np.random.default_rng(32)
         for _ in range(100):
             n, m = int(rng.integers(0, 9)), int(rng.integers(0, 11))
-            d = DisplacementParams(float(rng.uniform(-2.5, 2.5)), float(rng.uniform(-2.5, 2.5)))
-            assert abs(overlap_amplitude(n, m, d)) == pytest.approx(
-                laguerre_magnitude(n, m, d), abs=1e-12)
+            a, b = float(rng.uniform(-2.5, 2.5)), float(rng.uniform(-2.5, 2.5))
+            assert abs(overlap_amplitude(n, m, a, b)) == pytest.approx(
+                laguerre_magnitude(n, m, a, b), abs=1e-12)
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
-            overlap_amplitude(-1, 0, DisplacementParams(1.0, 0.0))
+            overlap_amplitude(-1, 0, 1.0, 0.0)
 
 
 class TestQuadratureOracle:
     def test_no_displacement(self):
-        r = overlap_by_quadrature(0, 0, DisplacementParams(0.0, 0.0), order=20)
+        r = overlap_by_quadrature(0, 0, 0.0, 0.0, order=20)
         assert r == pytest.approx(1.0, abs=1e-13)
 
     def test_pure_position_displacement(self):
-        r = overlap_by_quadrature(0, 0, DisplacementParams(2.0, 0.0), order=40)
+        r = overlap_by_quadrature(0, 0, 2.0, 0.0, order=40)
         assert abs(r) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_stable_under_order_doubling(self):
-        d = DisplacementParams(1.3, -2.2)
-        v40 = overlap_by_quadrature(3, 5, d, order=40)
-        v80 = overlap_by_quadrature(3, 5, d, order=80)
+        v40 = overlap_by_quadrature(3, 5, 1.3, -2.2, order=40)
+        v80 = overlap_by_quadrature(3, 5, 1.3, -2.2, order=80)
         assert abs(v40 - v80) < 1e-12
 
 
 class TestTransitionProbability:
     def test_initial_time_certainty(self, params11, const_frame_pi):
-        d = DisplacementParams.from_frame(const_frame_pi, 0.0)
-        assert abs(overlap_amplitude(0, 0, d)) ** 2 == pytest.approx(1.0)
+        a, b = displacement_at(const_frame_pi, 0.0)
+        assert abs(overlap_amplitude(0, 0, a, b)) ** 2 == pytest.approx(1.0)
 
     def test_unit_displacement_survival(self):
         # a^2 + b^2 = 1 gives survival e^{-1/2}
-        d = DisplacementParams(math.sqrt(0.5), math.sqrt(0.5))
-        assert abs(overlap_amplitude(0, 0, d)) ** 2 == pytest.approx(
+        a = b = math.sqrt(0.5)
+        assert abs(overlap_amplitude(0, 0, a, b)) ** 2 == pytest.approx(
             math.exp(-0.5), abs=1e-12)
 
     def test_poisson_point(self):
-        d = DisplacementParams(1.0, 1.0)
-        assert abs(overlap_amplitude(0, 2, d)) ** 2 == pytest.approx(
+        assert abs(overlap_amplitude(0, 2, 1.0, 1.0)) ** 2 == pytest.approx(
             math.exp(-1.0) / 2.0, abs=1e-12)
 
 
@@ -209,8 +221,7 @@ class TestProbabilityRow:
     def test_ground_row_is_poisson(self, const_frame_pi):
         t = math.pi / 2
         row = row_at(0, const_frame_pi, t, tail_tol=1e-12)
-        from drivenosc import DisplacementParams as DP
-        lam = DP.from_frame(const_frame_pi, t).poisson_mean()
+        lam = lam_at(const_frame_pi, t)
         for m, p in enumerate(row.probabilities[:16]):
             assert abs(p - poisson(lam, m)) < 1e-9
 
@@ -222,8 +233,7 @@ class TestProbabilityRow:
 
     def test_large_mean_uses_log_space(self):
         # lambda = 40.5: hundreds of terms, factorials far beyond double range
-        d = DisplacementParams(9.0, 0.0)
-        total = sum(abs(overlap_amplitude(0, m, d)) ** 2 for m in range(140))
+        total = sum(abs(overlap_amplitude(0, m, 9.0, 0.0)) ** 2 for m in range(140))
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_row_limit_overflow_raises(self, params11):
@@ -237,6 +247,23 @@ class TestProbabilityRow:
         with pytest.raises(DomainError):
             row_at(0, const_frame_pi, 1.0, tail_tol=0.0)
 
+    # a NaN tail_tol passed `tail_tol <= 0.0`, probability_columns read no
+    # tail_tol at all, and a negative length fell through to numpy
+    @pytest.mark.parametrize("call, message", [
+        (lambda: probability_row(0, probability_column(0, 2.0, 40), math.nan),
+         "tail_tol must be positive, got nan"),
+        *[(lambda t=t: list(transitions.probability_columns(0, np.array([2.0]), 16, t)),
+           f"tail_tol must be positive, got {t!r}") for t in (0.0, -1.0, math.nan)],
+        (lambda: list(transitions.probability_columns(0, np.array([2.0]), -40, 1e-9)),
+         "m_max must be >= 0, got -40"),
+        (lambda: probability_column(0, 2.0, -3), "m_stop must be >= 0, got -3"),
+    ], ids=["row-nan-tol", "columns-zero-tol", "columns-negative-tol", "columns-nan-tol",
+            "columns-negative-m_max", "column-negative-m_stop"])
+    def test_bad_tolerance_or_length_is_a_domain_error(self, call, message):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
+
 
 class TestGroundStateSurvival:
     def test_zero_forcing(self, params11):
@@ -249,24 +276,27 @@ class TestGroundStateSurvival:
             math.exp(-2.0), abs=1e-9)
 
     def test_unit_displacement(self):
-        d = DisplacementParams(1.0, 1.0)
-        assert math.exp(-d.poisson_mean()) == pytest.approx(math.exp(-1.0))
+        assert math.exp(-transitions.excitation_mean(1.0, 1.0)) == pytest.approx(math.exp(-1.0))
 
     def test_equals_zero_zero_probability(self, const_frame_pi):
         for t in (0.5, 1.5, 3.0):
-            d = DisplacementParams.from_frame(const_frame_pi, t)
             assert survival(const_frame_pi, t) == pytest.approx(
-                abs(overlap_amplitude(0, 0, d)) ** 2, abs=1e-14)
+                abs(overlap_amplitude(0, 0, *displacement_at(const_frame_pi, t))) ** 2, abs=1e-14)
 
 
 class TestTransitionRowType:
     def test_rejects_invalid_probability(self):
         with pytest.raises(DomainError):
-            TransitionRow(n=0, probabilities=(1.2,), truncation_m=1, tail_bound=0.0)
+            TransitionRow(n=0, probabilities=(1.2,), tail_bound=0.0)
 
     def test_rejects_oversubscribed_row(self):
         with pytest.raises(DomainError):
-            TransitionRow(n=0, probabilities=(0.7, 0.7), truncation_m=2, tail_bound=0.0)
+            TransitionRow(n=0, probabilities=(0.7, 0.7), tail_bound=0.0)
+
+    def test_length_is_read_from_the_probabilities(self):
+        row = TransitionRow(n=0, probabilities=(0.5, 0.25, 0.25), tail_bound=0.0)
+        assert [f.name for f in dataclasses.fields(row)] == ["n", "probabilities", "tail_bound"]
+        assert row.truncation_m == 3
 
 
 def laguerre_probabilities(n, m, lam):
@@ -297,8 +327,9 @@ def mpmath_log_magnitudes(n, lam, m_stop, m_start=0):
 
 
 def displacement(lam, angle):
+    """(a, b) at polar angle angle whose lambda is lam."""
     r = math.sqrt(2.0 * lam)
-    return DisplacementParams(r * math.cos(angle), r * math.sin(angle))
+    return r * math.cos(angle), r * math.sin(angle)
 
 
 class TestHighQuantumNumbers:
@@ -308,8 +339,8 @@ class TestHighQuantumNumbers:
             for lam in (1e-6, 0.5, 3.0, 8.0, 20.0, 50.0):
                 d = displacement(lam, float(rng.uniform(0.0, 2.0 * math.pi)))
                 m_stop = 2 * n + 200
-                probs = probability_column(n, d.poisson_mean(), m_stop)
-                ref = laguerre_probabilities(n, np.arange(m_stop), d.poisson_mean())
+                probs = probability_column(n, transitions.excitation_mean(*d), m_stop)
+                ref = laguerre_probabilities(n, np.arange(m_stop), transitions.excitation_mean(*d))
                 assert np.max(np.abs(probs - ref)) < 1e-12
                 assert abs(probs.sum() - 1.0) < 1e-10
 
@@ -358,13 +389,14 @@ class TestHighQuantumNumbers:
         for _ in range(40):
             total = int(rng.integers(0, 191))
             n = int(rng.integers(0, total + 1))
-            d = DisplacementParams(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-            oracle = overlap_by_quadrature(n, total - n, d, order=200)
-            assert abs(overlap_amplitude(n, total - n, d) - oracle) < 1e-10
+            a, b = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
+            oracle = overlap_by_quadrature(n, total - n, a, b, order=200)
+            assert abs(overlap_amplitude(n, total - n, a, b) - oracle) < 1e-10
 
     def test_n_2000_is_finite_or_numeric_error(self, const_frame_pi):
         for lam in (0.01, 20.0, 2000.0):
-            probs = probability_column(2000, displacement(lam, 0.3).poisson_mean(), 2600)
+            probs = probability_column(2000, transitions.excitation_mean(*displacement(lam, 0.3)),
+                                       2600)
             assert np.all(np.isfinite(probs))
         with pytest.raises(NumericError) as exc:
             row_at(2000, const_frame_pi, 2.0, tail_tol=1e-9)
@@ -380,7 +412,7 @@ class TestHighQuantumNumbers:
 
     def test_row_rejects_nan(self):
         with pytest.raises(DomainError):
-            TransitionRow(n=0, probabilities=(math.nan,), truncation_m=1, tail_bound=0.0)
+            TransitionRow(n=0, probabilities=(math.nan,), tail_bound=0.0)
 
 
 class TestBlockValidity:
@@ -421,7 +453,8 @@ class TestBlockValidity:
         # still fails nothing
         n, m_max = 2, 16
         first = m_max + transitions.ROW_ROOM + 1
-        lams = np.array([displacement(lam, 0.3).poisson_mean() for lam in (0.5, 1.0, 1.5)])
+        lams = np.array([transitions.excitation_mean(*displacement(lam, 0.3))
+                         for lam in (0.5, 1.0, 1.5)])
         clean = list(transitions.probability_columns(n, lams, m_max, 1e-9))
         assert [len(c) for c in clean] == [first] * 3
 
