@@ -77,8 +77,9 @@ class _Staged:
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:
-    """The header, then the rows of each block, every value as %.17g,
-    formatted CSV_CHUNK_ROWS rows at a time.
+    """The header, then the rows of each block, every value as %.17g and
+    an integer as %d (the same text below 10^17), formatted
+    CSV_CHUNK_ROWS rows at a time.
 
     A block holds one entry per column: a 1-D ndarray (that column's value
     on each row; at least one column is one) or a scalar (the same value
@@ -88,8 +89,9 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
         fh.write(",".join(header) + "\n")
         for block in blocks:
             arrays = [c for c in block if isinstance(c, np.ndarray)]
-            line = ",".join("%.17g" if isinstance(c, np.ndarray) else "%.17g" % c
-                            for c in block) + "\n"
+            formats = ["%d" if np.asarray(c).dtype.kind in "iu" else "%.17g" for c in block]
+            line = ",".join(f if isinstance(c, np.ndarray) else f % c
+                            for f, c in zip(formats, block)) + "\n"
             rows = len(arrays[0])
             for start in range(0, rows, CSV_CHUNK_ROWS):
                 chunk = [c[start:start + CSV_CHUNK_ROWS] for c in arrays]

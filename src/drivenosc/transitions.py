@@ -55,6 +55,7 @@ ROW_ROOM = 32
 # A block of columns holds at most BLOCK_ENTRIES entries, so memory does
 # not grow with the number of sample times.
 BLOCK_ENTRIES = 1 << 19
+_REAL = (int, float, np.integer, np.floating)  # what a length or tail_tol may be
 
 
 def _root(m: float, w: float, power: int) -> float:
@@ -84,8 +85,18 @@ def _check_displacement(a: float, b: float) -> None:
 
 
 def _check_tail_tol(tail_tol: float) -> None:
-    if not tail_tol > 0.0:  # NaN fails too
+    if not (isinstance(tail_tol, _REAL) and tail_tol > 0.0):  # NaN fails too
         raise DomainError(f"tail_tol must be positive, got {tail_tol!r}")
+
+
+def _check_length(name: str, value) -> int:
+    """A column length as an int; integral floats such as 40.0 pass, as
+    ``_check_n`` allows for n."""
+    if not (isinstance(value, _REAL) and float(value).is_integer()):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise DomainError(f"{name} must be >= 0, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -122,12 +133,11 @@ def _laguerre_column(n: int, lam, m_stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Sign and log |A(n, m)| (the Laguerre form above) for m = 0 .. m_stop-1.
 
     A scalar lam gives one column, an array one row per entry; DomainError
-    for a negative m_stop or a negative or non-finite lam.  Each entry
-    depends only on (n, m, lam), so a shorter column is an exact prefix of
-    a longer one.
+    for an m_stop that is not a whole number >= 0 or a negative or
+    non-finite lam.  Each entry depends only on (n, m, lam), so a shorter
+    column is an exact prefix of a longer one.
     """
-    if m_stop < 0:
-        raise DomainError(f"m_stop must be >= 0, got {m_stop!r}")
+    m_stop = _check_length("m_stop", m_stop)
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     bad = lams[~((lams >= 0.0) & (lams < math.inf))]  # NaN fails both
     if bad.size:
@@ -202,8 +212,9 @@ def probability_column(n: int, lam: float, m_stop: int) -> np.ndarray:
 def probability_columns(n: int, lams, m_max: int, tail_tol: float) -> Iterator[np.ndarray]:
     """P(n -> m) at each lambda of the 1-D array lams, as far as its row
     (cut at 1 - tail_tol) or m <= m_max needs; DomainError for a tail_tol
-    that is not positive, a negative m_max or a negative or non-finite
-    lambda, NumericError at the first invalid column.
+    that is not a positive number, an m_max that is not a whole number
+    >= 0 or a negative or non-finite lambda, NumericError at the first
+    invalid column.
 
     A column is first m_max + ROW_ROOM + 1 entries long, computed a block
     of times at once; one whose row has not ended there is the full
@@ -214,8 +225,7 @@ def probability_columns(n: int, lams, m_max: int, tail_tol: float) -> Iterator[n
     """
     n = _check_n(n)
     _check_tail_tol(tail_tol)
-    if m_max < 0:
-        raise DomainError(f"m_max must be >= 0, got {m_max!r}")
+    m_max = _check_length("m_max", m_max)
     lams = np.asarray(lams, dtype=float)
     full = max(COLUMN_ENTRIES, m_max + 1)
     first = min(m_max + ROW_ROOM + 1, full)

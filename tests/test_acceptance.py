@@ -6,6 +6,7 @@ oracle sweeps, PDE runs); module-level tests cover the fine-grained
 behavior.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -272,7 +273,7 @@ def test_10_ground_state_survival_closed_and_pde():
 
 
 def _se3_defect(params, spec, t_final, dt, frame, seed):
-    grid = GridSpec.default(params, dt=dt)
+    grid = dataclasses.replace(GridSpec.default(params), dt=dt)
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
     vals = sum(c * eigenstate_wavefunction(params, i, grid).values

@@ -551,6 +551,16 @@ class TestWriteCsv:
         for i in (0, edge - 1, edge, edge + 2):  # lines[0] is the header
             assert lines[i + 1] == "%.17g,%.17g,%.17g,1.5" % (t[i], *z[i])
 
+    def test_integer_columns_and_int_scalars_are_written_as_d(self, tmp_path):
+        # %d and %.17g agree below 10^17 (the tests above); past it only an
+        # integer keeps every digit
+        big = 10**17 + 1
+        cli._write_csv(tmp_path / "ints.csv", ["a", "b", "c"],
+                       [(big, np.array([big, -big]), np.array([float(big), 0.5]))])
+        assert (tmp_path / "ints.csv").read_text() == (
+            "a,b,c\n100000000000000001,100000000000000001,1e+17\n"
+            "100000000000000001,-100000000000000001,0.5\n")
+
 
 class TestWriteRowsJson:
     def test_equals_json_dump(self):
@@ -702,6 +712,48 @@ class TestEvolvePdeCommand:
             grid={"x_min": -6.0, "x_max": 6.0, "points": 256, "dt": 1e-3},
         )
         assert main(["evolve-pde", "--scenario", str(scn), "--out", str(tmp_path)]) == 3
+
+    # From an eigenstate start the lab state is phi_n displaced by x_nh(t)
+    # and boosted by m xdot_nh(t) (NOTES.md), so the energy column is
+    # E_n + m xdot_nh^2/2 + m w^2 x_nh^2/2 - x_nh k(t) and the final density
+    # phi_n(x - x_nh(t_max))^2.  The split solver's stepping error (dt 1e-3)
+    # put the energy 1.01e-7 and 9.5e-8 off, and the density 5.7e-8 and
+    # 2.8e-8: each bound is about twice the larger of its two gaps.
+    @pytest.mark.parametrize("forcing, n", [
+        ({"type": "sinusoid", "A": 1.0, "Omega": 1.3, "phi": 0.2}, 3),
+        ({"type": "constant", "K": 1.0}, 0),
+    ], ids=["sinusoid-n3", "constant-n0"])
+    def test_energy_and_final_density_match_their_closed_forms(self, tmp_path, forcing, n):
+        path = write_scenario(tmp_path, params={"m": 1.3, "omega": 0.8}, forcing=forcing,
+                              time={"t_max": math.pi, "samples": 101}, quantum={"n_initial": n})
+        assert main(["evolve-pde", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        scn = Scenario.from_file(path)
+        _, log = read_csv(tmp_path / "evolution.csv")
+        _, state = read_csv(tmp_path / "final_state.csv")
+        times = log[:, 0]
+        x_nh, xdot_nh, _ = build_frame(scn.params, scn.forcing, scn.t_max).values(times)
+        m, w = scn.params.m, scn.params.omega
+        energy = (hermite.eigen_energy(scn.params, n) + 0.5 * m * xdot_nh**2
+                  + 0.5 * m * w**2 * x_nh**2 - x_nh * scn.forcing.evaluate(times))
+        density = hermite.eigenstate(scn.params, n, state[:, 0] - x_nh[-1]) ** 2
+        assert times[-1] == scn.t_max
+        assert np.max(np.abs(log[:, 2] - energy)) < 2e-7
+        assert np.max(np.abs(state[:, 3] - density)) < 1.2e-7
+
+    @pytest.mark.parametrize("samples, message", [
+        # the interval 13.6 -> 13.8 fails the check that ends it
+        (101, "final state at t=13.8: boundary region holds mass 7.013e-10"),
+        # one interval: the block check after 13,824 steps fails first
+        (2, "evolution at t=13.824: boundary region holds mass 1.229e-09"),
+    ], ids=["101-samples", "2-samples"])
+    def test_resonant_drive_fails_naming_its_time(self, tmp_path, capsys, samples, message):
+        # at resonance x_nh grows like t/2 and leaves the default box
+        path = write_scenario(tmp_path, forcing={"type": "sinusoid", "A": 1.0, "Omega": 1.0,
+                                                 "phi": 0.0},
+                              time={"t_max": 20.0, "samples": samples})
+        assert main(["evolve-pde", "--scenario", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"{path}: numerical failure: {message}; enlarge the grid\n")
 
     def test_overflowing_table_is_a_numeric_failure(self, tmp_path):
         # k overflows between the knots: the t = 0 energy and every later

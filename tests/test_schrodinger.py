@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -179,10 +180,11 @@ class TestEvolution:
         assert abs(out.norm() - 1.0) < 1e-10
 
     def test_energy_conserved_without_forcing(self, params11):
-        grid = GridSpec.default(params11, dt=2e-4)
+        grid = dataclasses.replace(GridSpec.default(params11), dt=2e-4)
         phi0 = coherent_wavefunction(params11, 1.0, 0.5, grid)
-        e0 = energy_expectation(params11, phi0)
-        e1 = energy_expectation(params11, evolve_lab(params11, ZeroForcing(), phi0, 2.0))
+        e0 = energy_expectation(params11, phi0, ZeroForcing(), 0.0)
+        e1 = energy_expectation(params11, evolve_lab(params11, ZeroForcing(), phi0, 2.0),
+                                ZeroForcing(), 0.0)
         assert abs(e1 - e0) < 1e-8
 
     def test_ground_state_picks_up_half_quantum_phase(self, params11, default_grid):
@@ -443,7 +445,7 @@ class TestEvolutionCovariance:
         # state the split-operator solver reaches with no force, phase and
         # sign included (e^{+i E_n t} would put the gap above 1)
         params = OscillatorParams(1.3, 0.8)
-        grid = GridSpec.default(params, dt=1e-3)
+        grid = GridSpec.default(params)
         t = math.pi
         psi0, exact = _mix_modes(params, grid, _eigenmodes(params, grid, 5),
                                  np.random.default_rng(47), t)
@@ -475,7 +477,7 @@ class TestEvolutionCovariance:
 class TestExpectations:
     def test_kinetic_plus_potential_is_eigenvalue(self, params11, default_grid):
         psi = eigenstate_wavefunction(params11, 4, default_grid)
-        assert energy_expectation(params11, psi) == pytest.approx(
+        assert energy_expectation(params11, psi, ZeroForcing(), 0.0) == pytest.approx(
             eigen_energy(params11, 4), abs=1e-10)
 
     def test_kinetic_of_ground_state(self, params11, default_grid):

@@ -248,7 +248,9 @@ class TestProbabilityRow:
             row_at(0, const_frame_pi, 1.0, tail_tol=0.0)
 
     # a NaN tail_tol passed `tail_tol <= 0.0`, probability_columns read no
-    # tail_tol at all, and a negative length fell through to numpy
+    # tail_tol at all, and a negative length fell through to numpy; a
+    # non-integral length reached np.ones and a tail_tol that is not a
+    # number reached `>`, both as TypeError
     @pytest.mark.parametrize("call, message", [
         (lambda: probability_row(0, probability_column(0, 2.0, 40), math.nan),
          "tail_tol must be positive, got nan"),
@@ -257,12 +259,26 @@ class TestProbabilityRow:
         (lambda: list(transitions.probability_columns(0, np.array([2.0]), -40, 1e-9)),
          "m_max must be >= 0, got -40"),
         (lambda: probability_column(0, 2.0, -3), "m_stop must be >= 0, got -3"),
+        (lambda: probability_column(0, 2.0, 2.5), "m_stop must be an integer, got 2.5"),
+        (lambda: list(transitions.probability_columns(0, np.array([1.0]), 16.5, 1e-9)),
+         "m_max must be an integer, got 16.5"),
+        (lambda: probability_row(0, np.array([0.5, 0.5]), "x"), "tail_tol must be positive, got 'x'"),
+        (lambda: probability_row(0, np.array([0.5, 0.5]), None),
+         "tail_tol must be positive, got None"),
     ], ids=["row-nan-tol", "columns-zero-tol", "columns-negative-tol", "columns-nan-tol",
-            "columns-negative-m_max", "column-negative-m_stop"])
+            "columns-negative-m_max", "column-negative-m_stop", "column-fractional-m_stop",
+            "columns-fractional-m_max", "row-text-tol", "row-none-tol"])
     def test_bad_tolerance_or_length_is_a_domain_error(self, call, message):
         with pytest.raises(DomainError) as exc:
             call()
         assert str(exc.value) == message
+
+    def test_integral_float_lengths_equal_the_int_lengths(self):
+        assert np.array_equal(probability_column(2, 1.5, 40.0), probability_column(2, 1.5, 40))
+        lams = np.array([0.3, 2.0])
+        for by_float, by_int in zip(transitions.probability_columns(2, lams, 40.0, 1e-9),
+                                    transitions.probability_columns(2, lams, 40, 1e-9)):
+            assert np.array_equal(by_float, by_int)
 
 
 class TestGroundStateSurvival:
